@@ -37,8 +37,12 @@ int main() {
 
   // The external-measurement path: pull two candidates out, measure them
   // "elsewhere" (here: the same simulator), and report the results back.
-  for (const tuner::ParamConfig& config : session.suggest(2))
-    session.report(config, sandybridge->evaluate(config).seconds);
+  // A failed measurement is simply not reported: the candidate never
+  // enters the trace.
+  for (const tuner::ParamConfig& config : session.suggest(2)) {
+    const tuner::EvalResult r = sandybridge->evaluate(config);
+    if (r.ok) session.report(config, r.seconds);
+  }
 
   // Then let the session evaluate the rest of the budget itself, one
   // window at a time (a checkpoint could be persisted between steps).

@@ -11,6 +11,10 @@ namespace portatune::obs::json {
 
 namespace {
 
+/// Deepest array/object nesting a document may have. Far above anything
+/// the protocol, metrics or trace files produce.
+constexpr std::size_t kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -54,8 +58,16 @@ class Parser {
   Value parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Bounded recursion: a line of nothing but '[' must fail with a
+        // parse error, not overflow the stack.
+        if (++depth_ > kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value::make_string(parse_string());
       case 't':
         if (consume_literal("true")) return Value::make_bool(true);
@@ -187,6 +199,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects open around pos_
 };
 
 void dump_into(const Value& v, std::string& out);

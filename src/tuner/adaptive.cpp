@@ -1,13 +1,10 @@
 #include "tuner/adaptive.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "support/error.hpp"
-#include "support/stats.hpp"
 #include "tuner/observe.hpp"
-#include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 #include "tuner/transfer.hpp"
 
 namespace portatune::tuner {
@@ -23,37 +20,20 @@ SearchTrace adaptive_biased_search(Evaluator& target,
   const ParamSpace& space = target.space();
 
   // Candidate pool, sampled once (same role as X_p in Algorithm 2).
-  ConfigStream stream(space, opt.seed);
-  std::vector<ParamConfig> pool;
-  pool.reserve(opt.pool_size);
-  while (pool.size() < opt.pool_size) {
-    auto c = stream.next();
-    if (!c) break;
-    pool.push_back(std::move(*c));
-  }
-  PT_REQUIRE(!pool.empty(), "empty candidate pool");
-  std::vector<bool> used(pool.size(), false);
-
-  const auto build_training_set = [&]() {
-    const bool keep_source =
-        opt.forget_source_after == 0 ||
-        trace.size() < opt.forget_source_after;
-    return hybrid_dataset(keep_source ? &source : nullptr, trace, space,
-                          opt.target_weight);
-  };
+  PoolSource pool(rank_pool(nullptr, space, opt.seed, opt.pool_size), space);
 
   ml::ForestParams fp = opt.forest;
   fp.seed = opt.seed;
   ml::RandomForest model(fp);
-
-  std::vector<std::size_t> ranked;  // pool indices, best predicted first
   std::size_t refits = 0;
   const auto rerank = [&] {
-    const auto data = build_training_set();
+    const bool keep_source = opt.forget_source_after == 0 ||
+                             trace.size() < opt.forget_source_after;
+    const auto data = hybrid_dataset(keep_source ? &source : nullptr, trace,
+                                     space, opt.target_weight);
     if (data.empty()) {
       // Nothing to learn from yet: keep pool order (uniform random).
-      ranked.resize(pool.size());
-      for (std::size_t i = 0; i < pool.size(); ++i) ranked[i] = i;
+      pool.rerank(nullptr);
       return;
     }
     obs::ScopedTimer refit_span("search.refit", "search",
@@ -63,39 +43,19 @@ SearchTrace adaptive_biased_search(Evaluator& target,
     ++refits;
     obs::MetricsRegistry::current().counter("search.refits").add();
     model.fit(data);
-    std::vector<double> pred(pool.size());
-    for (std::size_t i = 0; i < pool.size(); ++i)
-      pred[i] = model.predict(space.features(pool[i]));
-    const auto order = argsort(pred);
-    ranked.assign(order.begin(), order.end());
+    pool.rerank(&model);
   };
-
   rerank();
-  FailureBudgetTracker budget(opt.failure_budget);
-  std::size_t cursor = 0;
-  std::size_t since_refit = 0;
-  while (trace.size() < opt.max_evals) {
-    // Next unused pool candidate in predicted order.
-    while (cursor < ranked.size() && used[ranked[cursor]]) ++cursor;
-    if (cursor >= ranked.size()) break;  // pool exhausted
-    const std::size_t pick = ranked[cursor];
-    used[pick] = true;
-    const EvalResult r = target.evaluate(pool[pick]);
-    trace.note_result(r);
-    if (budget.note(r)) {
-      trace.set_stop_reason(budget.reason());
-      break;
-    }
-    if (r.ok) {
-      trace.record(pool[pick], r.seconds, pick);
-      if (++since_refit >= opt.refit_interval &&
-          trace.size() < opt.max_evals) {
-        since_refit = 0;
-        rerank();
-        cursor = 0;
-      }
-    }
-  }
+
+  // Refits depend on every observed result, so windows hold one draw.
+  SearchLoop loop(target, trace, opt.failure_budget, opt.cancel, 1);
+  std::size_t next_refit = opt.refit_interval;
+  loop.after_window = [&] {
+    if (trace.size() < next_refit || trace.size() >= opt.max_evals) return;
+    next_refit = trace.size() + opt.refit_interval;
+    rerank();
+  };
+  loop.run(pool, opt.max_evals);
   return trace;
 }
 

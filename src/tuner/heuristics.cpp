@@ -9,7 +9,7 @@
 #include "support/error.hpp"
 #include "support/stats.hpp"
 #include "tuner/observe.hpp"
-#include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 
 namespace portatune::tuner {
 
@@ -21,28 +21,16 @@ std::vector<ParamConfig> seeded_starts(const ParamSpace& space,
                                        const ml::Regressor* surrogate,
                                        std::size_t pool_size,
                                        std::size_t count, Rng& rng) {
+  std::vector<ParamConfig> out;
+  out.reserve(count);
   if (surrogate == nullptr) {
-    std::vector<ParamConfig> out;
-    out.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
       out.push_back(space.random_config(rng));
     return out;
   }
-  ConfigStream stream(space, rng());
-  std::vector<ParamConfig> pool;
-  while (pool.size() < pool_size) {
-    auto c = stream.next();
-    if (!c) break;
-    pool.push_back(std::move(*c));
-  }
-  PT_REQUIRE(!pool.empty(), "empty seeding pool");
-  std::vector<double> pred(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i)
-    pred[i] = surrogate->predict(space.features(pool[i]));
-  const auto order = argsort(pred);
-  std::vector<ParamConfig> out;
-  for (std::size_t i = 0; i < order.size() && out.size() < count; ++i)
-    out.push_back(pool[order[i]]);
+  const RankedPool pool = rank_pool(surrogate, space, rng(), pool_size);
+  for (std::size_t i = 0; i < pool.order.size() && out.size() < count; ++i)
+    out.push_back(pool.configs[pool.order[i]]);
   return out;
 }
 

@@ -20,12 +20,6 @@ std::string read_all(std::istream& is) {
   return ss.str();
 }
 
-/// Verify and strip the v3 checksum footer — shared with every other
-/// persistence format (see support/checksum.hpp).
-std::string verify_v3_payload(const std::string& content, const char* what) {
-  return strip_verified_checksum_footer(content, what);
-}
-
 std::vector<std::string> split_csv(const std::string& line) {
   std::vector<std::string> out;
   std::string cur;
@@ -56,8 +50,6 @@ int value_to_index(const ParamSpace& space, std::size_t param,
 
 void save_trace_csv(std::ostream& os, const SearchTrace& trace,
                     const ParamSpace& space) {
-  // v3 appends a checksum footer over the whole payload (v2 added the
-  // wall_unix column); load_trace_csv still reads v1/v2 files.
   std::ostringstream payload;
   payload << "# portatune-trace v3," << trace.algorithm() << ","
           << trace.problem() << "," << trace.machine() << "\n";
@@ -85,29 +77,22 @@ void save_trace_csv(const std::string& path, const SearchTrace& trace,
 }
 
 SearchTrace load_trace_csv(std::istream& is, const ParamSpace& space) {
-  // v3 files carry a checksum footer over the whole payload; verify it
-  // before any parsing so truncation/corruption fails with a checksum
-  // diagnostic, never a confusing parse error deep in the rows.
-  std::string content = read_all(is);
+  // The checksum footer covers the whole payload; verify it before any
+  // parsing so truncation/corruption fails with a checksum diagnostic,
+  // never a confusing parse error deep in the rows.
+  const std::string content = read_all(is);
   PT_REQUIRE(!content.empty(), "empty trace file");
-  if (content.rfind("# portatune-trace v3,", 0) == 0)
-    content = verify_v3_payload(content, "trace");
-  std::istringstream in(content);
+  PT_REQUIRE(content.rfind("# portatune-trace v3,", 0) == 0,
+             "not a portatune v3 trace (bad magic line)");
+  std::istringstream in(strip_verified_checksum_footer(content, "trace"));
 
   std::string line;
-  PT_REQUIRE(std::getline(in, line), "empty trace file");
-  // v1 files predate the wall_unix column; all versions load.
-  int version = 0;
-  if (line.rfind("# portatune-trace v1,", 0) == 0) version = 1;
-  else if (line.rfind("# portatune-trace v2,", 0) == 0) version = 2;
-  else if (line.rfind("# portatune-trace v3,", 0) == 0) version = 3;
-  PT_REQUIRE(version != 0, "not a portatune trace (bad magic line)");
+  std::getline(in, line);
   const auto meta = split_csv(line.substr(std::string("# ").size()));
   PT_REQUIRE(meta.size() == 4, "malformed trace metadata");
   SearchTrace trace(meta[1], meta[2], meta[3]);
 
-  const std::size_t columns =
-      space.num_params() + (version >= 2 ? 3 : 2);
+  const std::size_t columns = space.num_params() + 3;
   PT_REQUIRE(std::getline(in, line), "missing trace header row");
   const auto header = split_csv(line);
   PT_REQUIRE(header.size() == columns,
@@ -133,10 +118,7 @@ SearchTrace load_trace_csv(std::istream& is, const ParamSpace& space) {
                "trace row " + std::to_string(row) + " has a bad run time");
     const auto draw =
         static_cast<std::size_t>(std::stoull(cells[space.num_params() + 1]));
-    // v1 rows carry no wall-clock timestamp: restore as 0 ("unknown")
-    // rather than stamping load time.
-    const double wall =
-        version >= 2 ? std::stod(cells[space.num_params() + 2]) : 0.0;
+    const double wall = std::stod(cells[space.num_params() + 2]);
     trace.record(std::move(config), seconds, draw, wall);
   }
   return trace;
@@ -152,8 +134,6 @@ SearchTrace load_trace_csv(const std::string& path,
 void save_checkpoint_csv(std::ostream& os, const SearchCheckpoint& snapshot,
                          const ParamSpace& space) {
   const SearchTrace& trace = snapshot.trace;
-  // v3 appends a checksum footer (v2 added the wall_unix column);
-  // load_checkpoint_csv reads all three.
   std::ostringstream payload;
   payload.precision(17);
   payload << "# portatune-checkpoint v3," << trace.algorithm() << ","
@@ -202,22 +182,16 @@ void save_checkpoint_csv(const std::string& path,
 
 SearchCheckpoint load_checkpoint_csv(std::istream& is,
                                      const ParamSpace& space) {
-  // Checksum verification first (v3): a resumed run must never proceed
-  // from a checkpoint whose bytes cannot be trusted.
-  std::string content = read_all(is);
+  // Checksum verification first: a resumed run must never proceed from a
+  // checkpoint whose bytes cannot be trusted.
+  const std::string content = read_all(is);
   PT_REQUIRE(!content.empty(), "empty checkpoint file");
-  if (content.rfind("# portatune-checkpoint v3,", 0) == 0)
-    content = verify_v3_payload(content, "checkpoint");
-  std::istringstream in(content);
+  PT_REQUIRE(content.rfind("# portatune-checkpoint v3,", 0) == 0,
+             "not a portatune v3 checkpoint (bad magic line)");
+  std::istringstream in(strip_verified_checksum_footer(content, "checkpoint"));
 
   std::string line;
-  PT_REQUIRE(std::getline(in, line), "empty checkpoint file");
-  // v1 files predate the wall_unix column; all versions load.
-  int version = 0;
-  if (line.rfind("# portatune-checkpoint v1,", 0) == 0) version = 1;
-  else if (line.rfind("# portatune-checkpoint v2,", 0) == 0) version = 2;
-  else if (line.rfind("# portatune-checkpoint v3,", 0) == 0) version = 3;
-  PT_REQUIRE(version != 0, "not a portatune checkpoint (bad magic line)");
+  std::getline(in, line);
   const auto meta = split_csv(line.substr(std::string("# ").size()));
   PT_REQUIRE(meta.size() == 4, "malformed checkpoint metadata");
 
@@ -274,8 +248,7 @@ SearchCheckpoint load_checkpoint_csv(std::istream& is,
   }
 
   PT_REQUIRE(!header_line.empty(), "missing checkpoint header row");
-  const std::size_t columns =
-      space.num_params() + (version >= 2 ? 4 : 3);
+  const std::size_t columns = space.num_params() + 4;
   const auto header = split_csv(header_line);
   PT_REQUIRE(header.size() == columns,
              "checkpoint header arity does not match the parameter space");
@@ -305,8 +278,7 @@ SearchCheckpoint load_checkpoint_csv(std::istream& is,
                    " has a bad elapsed time");
     const auto draw =
         static_cast<std::size_t>(std::stoull(cells[space.num_params() + 2]));
-    const double wall =
-        version >= 2 ? std::stod(cells[space.num_params() + 3]) : 0.0;
+    const double wall = std::stod(cells[space.num_params() + 3]);
     trace.restore_entry(std::move(config), seconds, elapsed, draw, wall);
   }
   trace.restore_failure_stats(fs);

@@ -8,9 +8,10 @@
 // back against a ParamSpace, validating that the space matches.
 //
 // Format:
-//   # portatune-trace v1,<algorithm>,<problem>,<machine>
-//   <param0>,<param1>,...,seconds,draw_index
-//   32,256,4,...,0.3412,17
+//   # portatune-trace v3,<algorithm>,<problem>,<machine>
+//   <param0>,<param1>,...,seconds,draw_index,wall_unix
+//   32,256,4,...,0.3412,17,1713960000.25
+//   # checksum,<16 hex digits>
 //
 // Values are written as parameter *values* (like the surrogate features),
 // not indices, so traces stay meaningful if a space is re-declared with
@@ -21,7 +22,7 @@
 // convention; extra `# key,...` metadata rows; rows carry the original
 // elapsed timestamp so the resumed clock is bitwise-identical):
 //
-//   # portatune-checkpoint v1,<algorithm>,<problem>,<machine>
+//   # portatune-checkpoint v3,<algorithm>,<problem>,<machine>
 //   # draws,<stream draws consumed>
 //   # clock,<search clock seconds>
 //   # stop,<stop reason or empty>
@@ -30,16 +31,14 @@
 //   # pending,<hex hash>:<draw>,...                 (row absent when empty;
 //                                                    session suggestions not
 //                                                    yet reported)
-//   <param0>,...,seconds,elapsed,draw_index
+//   <param0>,...,seconds,elapsed,draw_index,wall_unix
+//   # checksum,<16 hex digits>
 //
-// Version history (loaders accept every version; writers emit the
-// newest):
-//   v1  original format above
-//   v2  rows gain a trailing wall_unix column
-//   v3  a final `# checksum,<16 hex digits>` footer carries the FNV-1a
-//       hash of every byte before it, so loaders reject truncated or
-//       bit-flipped files with a checksum diagnostic instead of silently
-//       resuming from garbage
+// The final checksum row carries the FNV-1a hash of every byte before it,
+// so loaders reject truncated or bit-flipped files with a checksum
+// diagnostic instead of silently resuming from garbage. Only v3 loads;
+// the older v1/v2 layouts (no checksum, v1 also no wall_unix) are
+// rejected by their magic line.
 #pragma once
 
 #include <iosfwd>

@@ -1,92 +1,41 @@
 #include "tuner/random_search.hpp"
 
 #include <algorithm>
-
 #include <optional>
 
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 #include "tuner/guard.hpp"
 #include "tuner/observe.hpp"
 #include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 #include "tuner/transfer.hpp"
 
 namespace portatune::tuner {
 
 namespace {
 
-/// Account a result on trace + budget. Returns true when the search must
-/// abort (budget newly exhausted); records the diagnostic on the trace.
-bool abort_on_failure(SearchTrace& trace, FailureBudgetTracker& budget,
-                      const EvalResult& r) {
-  trace.note_result(r);
-  if (!budget.note(r)) return false;
-  trace.set_stop_reason(budget.reason());
-  return true;
-}
-
-/// Evaluation window width for the batched search loops. A plain
-/// evaluator advertises width 1, which collapses every window to a single
-/// draw and reproduces the historical serial loops instruction for
-/// instruction; a ParallelEvaluator widens the window to keep its pool
-/// busy. Trace parity holds either way because windows are always
-/// processed in draw order.
-std::size_t batch_width(const Evaluator& eval) {
-  return std::max<std::size_t>(1, eval.capabilities().preferred_batch);
-}
-
-/// Window width for the guarded search loops. With the guard enabled the
-/// width is pinned to GuardOptions::sync_window instead of the
-/// evaluator's preferred batch: adaptive decisions (relax/disable
-/// pruning, re-rank the pool) depend on observed results, so the
-/// interleaving of trust updates and draw decisions must not vary with
-/// the thread count — a fixed window keeps serial and parallel traces
-/// bit-identical even when the guard fires mid-search. evaluate_batch
-/// accepts any window size; a ParallelEvaluator still fans the fixed
-/// window out over its pool.
-std::size_t guarded_batch_width(const Evaluator& eval,
-                                const GuardOptions& guard) {
-  if (!guard.enabled) return batch_width(eval);
-  return std::max<std::size_t>(1, guard.sync_window);
-}
-
-/// Evaluate one search window under a "search.window" span: the causal
-/// parent of every evaluation it fans out, across worker threads (the
-/// ThreadPool carries the SpanContext into each task). `evals_done` is
-/// the trace size going in, so a trace viewer can line windows up with
-/// search progress. Dormant path: one enabled() check, no allocation.
-std::vector<EvalResult> evaluate_window(Evaluator& eval,
-                                        std::span<const ParamConfig> configs,
-                                        std::size_t evals_done) {
-  std::optional<obs::ScopedTimer> span;
-  if (obs::enabled(obs::Severity::Debug))
-    span.emplace("search.window", "search",
-                 std::vector<obs::Field>{{"window", configs.size()},
-                                         {"evals_done", evals_done}},
-                 nullptr, obs::Severity::Debug);
-  return eval.evaluate_batch(configs);
-}
-
-/// Order-preserving batch prediction over a candidate pool. predict() is
-/// a pure const read of the fitted model, so fanning it out over the
-/// shared pool is deterministic: pred[i] depends only on configs[i].
-/// Small pools stay serial — dispatch would cost more than it saves.
-std::vector<double> predict_all(const ml::Regressor& model,
-                                const ParamSpace& space,
-                                const std::vector<ParamConfig>& configs) {
-  std::vector<double> pred(configs.size());
-  const auto body = [&](std::size_t i) {
-    pred[i] = model.predict(space.features(configs[i]));
-  };
-  constexpr std::size_t kParallelThreshold = 256;
-  if (configs.size() >= kParallelThreshold)
-    ThreadPool::global().parallel_for(0, configs.size(), body);
-  else
-    for (std::size_t i = 0; i < configs.size(); ++i) body(i);
-  return pred;
+/// Evaluate an explicit order under `label` (replay, RS_pf, RS_bf); each
+/// draw records its own index.
+SearchTrace evaluate_in_order(Evaluator& eval, std::string label,
+                              std::vector<Draw> order, std::size_t max_evals,
+                              const FailureBudget& budget,
+                              CancellationToken cancel) {
+  SearchTrace trace(std::move(label), eval.problem_name(),
+                    eval.machine_name());
+  SearchSpanGuard span(trace);
+  std::size_t next = 0;
+  FnSource source([&](Draw& out) {
+    if (next >= order.size()) return false;
+    out = std::move(order[next++]);
+    out.watermark = next;
+    return true;
+  });
+  SearchLoop(eval, trace, budget, std::move(cancel), window_width(eval))
+      .run(source, max_evals);
+  return trace;
 }
 
 }  // namespace
@@ -94,110 +43,16 @@ std::vector<double> predict_all(const ml::Regressor& model,
 SearchTrace random_search(Evaluator& eval, const RandomSearchOptions& opt) {
   SearchTrace trace("RS", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
-  ConfigStream stream(eval.space(), opt.seed);
-  // Draws whose results have been accounted on the trace. This — not
-  // stream.produced() — is what checkpoints must store: a window may have
-  // drawn ahead of what was processed when the search stops, and those
-  // tail draws never happened as far as a resumed run is concerned.
-  std::size_t consumed = 0;
-
-  if (opt.resume != nullptr) {
-    trace = opt.resume->trace;
-    // Replay the consumed draws against the same seed: the sampler's RNG
-    // state and dedup set end up exactly where the snapshot left them.
-    for (std::size_t i = 0; i < opt.resume->draws; ++i)
-      if (!stream.next()) break;
-    consumed = opt.resume->draws;
-    if (auto* resilient = find_layer<ResilientEvaluator>(&eval))
-      resilient->restore_quarantine(opt.resume->quarantine);
-    // A cancellation marker is "interrupted", not "finished": clear it so
-    // the resumed search continues where the shutdown stopped it.
-    if (trace.stop_reason() == kCancelledStopReason)
-      trace.restore_stop_reason("");
-  }
-
-  FailureBudgetTracker budget(opt.failure_budget);
-  if (opt.resume != nullptr)
-    budget.restore_total(opt.resume->trace.failure_stats().failures);
-  const auto take_checkpoint = [&] {
-    SearchCheckpoint snapshot;
-    snapshot.trace = trace;
-    snapshot.draws = consumed;
-    if (auto* resilient = find_layer<ResilientEvaluator>(&eval))
-      snapshot.quarantine = resilient->quarantined_hashes();
-    opt.on_checkpoint(snapshot);
-  };
-  std::size_t since_checkpoint = 0;
-  const auto maybe_checkpoint = [&] {
-    if (opt.checkpoint_every == 0 || !opt.on_checkpoint) return;
-    if (++since_checkpoint < opt.checkpoint_every) return;
-    since_checkpoint = 0;
-    take_checkpoint();
-  };
-
-  const std::size_t width = batch_width(eval);
-  bool space_exhausted = false;
-  // An already-exhausted budget (resume of an aborted run) evaluates
-  // nothing; the restored trace keeps its checkpointed stop reason.
-  while (trace.size() < opt.max_evals && !budget.exhausted() &&
-         !space_exhausted) {
-    // Graceful shutdown: stop at the window boundary. The final
-    // checkpoint below still runs, so the run directory stays resumable.
-    if (opt.cancel.cancelled()) {
-      trace.set_stop_reason(kCancelledStopReason);
-      break;
-    }
-    // Windows never overshoot: failed evaluations do not count toward
-    // max_evals, so the remaining budget is re-measured every window and
-    // a short window is drawn near the end.
-    const std::size_t want = std::min(width, opt.max_evals - trace.size());
-    std::vector<ParamConfig> configs;
-    std::vector<std::size_t> draw_idx;
-    configs.reserve(want);
-    draw_idx.reserve(want);
-    while (configs.size() < want) {
-      auto config = stream.next();
-      if (!config) {
-        space_exhausted = true;
-        break;
-      }
-      draw_idx.push_back(stream.produced() - 1);
-      configs.push_back(std::move(*config));
-    }
-    if (configs.empty()) break;
-
-    const std::vector<EvalResult> results =
-        evaluate_window(eval, configs, trace.size());
-    // Strictly draw order, regardless of completion order inside the
-    // batch — this is what keeps parallel traces bit-identical to serial.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      consumed = draw_idx[i] + 1;
-      const EvalResult& r = results[i];
-      if (!r.ok) {
-        if (abort_on_failure(trace, budget, r)) {
-          // The serial search would have stopped drawing here; results
-          // after the aborting draw are discarded unseen.
-          if (opt.on_checkpoint) take_checkpoint();
-          return trace;
-        }
-        continue;
-      }
-      trace.note_result(r);
-      budget.note(r);
-      trace.record(std::move(configs[i]), r.seconds, draw_idx[i]);
-      maybe_checkpoint();
-    }
-    // A short result vector means the window was cancelled mid-flight:
-    // the accounted prefix is consistent (draw order, `consumed` points
-    // at the first unprocessed draw), the tail never happened.
-    if (results.size() < configs.size()) {
-      trace.set_stop_reason(kCancelledStopReason);
-      break;
-    }
-  }
+  StreamSource source(eval.space(), opt.seed);
+  SearchLoop loop(eval, trace, opt.failure_budget, opt.cancel,
+                  window_width(eval));
+  if (opt.resume != nullptr) loop.resume(*opt.resume, source);
+  loop.checkpoint_every = opt.checkpoint_every;
+  loop.on_checkpoint = opt.on_checkpoint;
+  loop.run(source, opt.max_evals);
   // Final snapshot so interrupted-and-finished runs alike can be extended
   // later (e.g. resumed with a larger eval budget).
-  if (opt.on_checkpoint) take_checkpoint();
+  if (opt.on_checkpoint) opt.on_checkpoint(loop.checkpoint());
   return trace;
 }
 
@@ -207,26 +62,11 @@ SearchTrace replay_search(Evaluator& eval,
                           std::string algorithm_label,
                           const FailureBudget& fb,
                           CancellationToken cancel) {
-  SearchTrace trace(std::move(algorithm_label), eval.problem_name(),
-                    eval.machine_name());
-  SearchSpanGuard span(trace);
-  FailureBudgetTracker budget(fb);
-  for (std::size_t i = 0; i < order.size() && trace.size() < max_evals;
-       ++i) {
-    if (cancel.cancelled()) {
-      trace.set_stop_reason(kCancelledStopReason);
-      break;
-    }
-    const EvalResult r = eval.evaluate(order[i]);
-    if (!r.ok) {
-      if (abort_on_failure(trace, budget, r)) break;
-      continue;
-    }
-    trace.note_result(r);
-    budget.note(r);
-    trace.record(order[i], r.seconds, i);
-  }
-  return trace;
+  std::vector<Draw> draws;
+  draws.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) draws.push_back({order[i], i});
+  return evaluate_in_order(eval, std::move(algorithm_label), std::move(draws),
+                           max_evals, fb, std::move(cancel));
 }
 
 SearchTrace pruned_random_search(Evaluator& eval,
@@ -238,162 +78,94 @@ SearchTrace pruned_random_search(Evaluator& eval,
   SearchTrace trace("RS_p", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
   const ParamSpace& space = eval.space();
-  FailureBudgetTracker budget(opt.failure_budget);
 
   // Phase 1: estimate the pruning cutoff Delta as the delta-quantile of
-  // model predictions over a fresh pool of N configurations. Predictions
-  // fan out over the shared pool; the quantile sees them in pool order
-  // either way, so the cutoff is identical to the serial computation.
-  // With the guard enabled a second, relaxed cutoff is precomputed at the
-  // midpoint between delta and 100% — the Degraded state prunes against
-  // that instead, keeping roughly half the draws the strict cutoff would
-  // have discarded.
+  // model predictions over a fresh pool of N configurations. With the
+  // guard enabled a second, relaxed cutoff is precomputed at the midpoint
+  // between delta and 100% — the Degraded state prunes against that
+  // instead, keeping roughly half the draws the strict cutoff would have
+  // discarded.
   double cutoff = 0.0;
   double relaxed_cutoff = 0.0;
   {
     obs::ScopedTimer phase("search.RS_p.cutoff", "search",
                            {{"pool_size", opt.pool_size},
                             {"delta_percent", opt.delta_percent}});
-    ConfigStream pool_stream(space, opt.seed ^ 0xb1a5ed0full);
-    std::vector<ParamConfig> pool;
-    pool.reserve(opt.pool_size);
-    while (pool.size() < opt.pool_size) {
-      auto c = pool_stream.next();
-      if (!c) break;
-      pool.push_back(std::move(*c));
-    }
-    PT_REQUIRE(!pool.empty(), "empty prediction pool");
-    const std::vector<double> pool_pred = predict_all(model, space, pool);
-    cutoff = quantile(pool_pred, opt.delta_percent / 100.0);
+    const RankedPool pool =
+        rank_pool(&model, space, opt.seed ^ 0xb1a5ed0full, opt.pool_size);
+    cutoff = quantile(pool.predicted, opt.delta_percent / 100.0);
     phase.add_field({"cutoff_seconds", cutoff});
     if (opt.guard.enabled) {
       const double relaxed_percent =
           opt.delta_percent + (100.0 - opt.delta_percent) / 2.0;
-      relaxed_cutoff = quantile(pool_pred, relaxed_percent / 100.0);
+      relaxed_cutoff = quantile(pool.predicted, relaxed_percent / 100.0);
       phase.add_field({"relaxed_cutoff_seconds", relaxed_cutoff});
     }
   }
 
   // Phase 2: walk the shared stream (same order RS sees), evaluating only
-  // configurations the surrogate predicts below the cutoff. Survivors are
-  // gathered into evaluation windows; the prediction filter itself stays
-  // on the (sequential) draw path. The guard, when enabled, owns the
-  // effective cutoff: strict while Trusted, relaxed while Degraded, and
-  // no pruning at all once Disabled (trust collapse or starvation cap) —
-  // from that point the scan degenerates to plain RS over the same
-  // stream.
+  // configurations the surrogate predicts below the cutoff. The guard,
+  // when enabled, owns the effective cutoff: strict while Trusted,
+  // relaxed while Degraded, and no pruning at all once Disabled — from
+  // that point the scan degenerates to plain RS over the same stream.
   obs::ScopedTimer scan_phase("search.RS_p.scan", "search");
   std::optional<TrustMonitor> monitor;
   if (opt.guard.enabled) monitor.emplace(opt.guard, "RS_p");
   ConfigStream stream(space, opt.seed);
   std::size_t draws = 0;
   std::size_t pruned = 0;
-  const auto publish_prune_stats = [&] {
-    scan_phase.add_field({"draws", draws});
-    scan_phase.add_field({"pruned", pruned});
-    if (monitor) {
-      scan_phase.add_field({"guard_state", to_string(monitor->state())});
-      scan_phase.add_field({"guard_trust", monitor->trust()});
+  // The stream runs dry after max_draws draws, pruned ones included.
+  FnSource source([&](Draw& out) {
+    while (draws < opt.max_draws) {
+      auto config = stream.next();
+      if (!config) return false;
+      ++draws;
+      const double predicted = model.predict(space.features(*config));
+      const GuardState state =
+          monitor ? monitor->state() : GuardState::Trusted;
+      if (state != GuardState::Disabled &&
+          predicted >=
+              (state == GuardState::Degraded ? relaxed_cutoff : cutoff)) {
+        ++pruned;
+        // note_prune transitions to Disabled when the starvation cap
+        // trips, which lets every later draw through.
+        if (monitor) monitor->note_prune(trace.size());
+        continue;
+      }
+      if (monitor) monitor->note_pass();
+      out = {std::move(*config), stream.produced() - 1, stream.produced(),
+             predicted};
+      return true;
     }
-    if (draws == 0) return;
+    return false;
+  });
+  SearchLoop loop(eval, trace, opt.failure_budget, opt.cancel,
+                  window_width(eval, opt.guard));
+  if (monitor) loop.monitor = &*monitor;
+  loop.run(source, opt.max_evals);
+
+  scan_phase.add_field({"draws", draws});
+  scan_phase.add_field({"pruned", pruned});
+  if (monitor) {
+    scan_phase.add_field({"guard_state", to_string(monitor->state())});
+    scan_phase.add_field({"guard_trust", monitor->trust()});
+  }
+  if (draws > 0) {
     auto& metrics = obs::MetricsRegistry::current();
     metrics.counter("search.draws").add(draws);
     metrics.counter("search.pruned_draws").add(pruned);
     metrics.gauge("search.prune_rate")
         .set(static_cast<double>(pruned) / static_cast<double>(draws));
-  };
-  const auto should_prune = [&](double predicted) {
-    if (!monitor) return predicted >= cutoff;
-    switch (monitor->state()) {
-      case GuardState::Trusted:
-        return predicted >= cutoff;
-      case GuardState::Degraded:
-        return predicted >= relaxed_cutoff;
-      case GuardState::Disabled:
-        return false;
-    }
-    return false;
-  };
-  const std::size_t width = guarded_batch_width(eval, opt.guard);
-  bool space_exhausted = false;
-  while (trace.size() < opt.max_evals && draws < opt.max_draws &&
-         !space_exhausted) {
-    if (opt.cancel.cancelled()) {
-      trace.set_stop_reason(kCancelledStopReason);
-      publish_prune_stats();
-      return trace;
-    }
-    const std::size_t want = std::min(width, opt.max_evals - trace.size());
-    std::vector<ParamConfig> configs;
-    std::vector<std::size_t> draw_idx;
-    std::vector<double> window_pred;
-    configs.reserve(want);
-    draw_idx.reserve(want);
-    window_pred.reserve(want);
-    while (configs.size() < want && draws < opt.max_draws) {
-      auto config = stream.next();
-      if (!config) {
-        space_exhausted = true;
-        break;
-      }
-      ++draws;
-      const double predicted = model.predict(space.features(*config));
-      if (should_prune(predicted)) {
-        ++pruned;
-        // note_prune transitions to Disabled when the starvation cap
-        // trips; should_prune then lets every later draw through.
-        if (monitor) monitor->note_prune(trace.size());
-        continue;
-      }
-      if (monitor) monitor->note_pass();
-      draw_idx.push_back(stream.produced() - 1);
-      configs.push_back(std::move(*config));
-      window_pred.push_back(predicted);
-    }
-    if (configs.empty()) break;  // everything left was pruned or drawn out
-
-    const std::vector<EvalResult> results =
-        evaluate_window(eval, configs, trace.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const EvalResult& r = results[i];
-      if (!r.ok) {
-        if (abort_on_failure(trace, budget, r)) {
-          publish_prune_stats();
-          return trace;
-        }
-        continue;
-      }
-      trace.note_result(r);
-      budget.note(r);
-      trace.record(std::move(configs[i]), r.seconds, draw_idx[i]);
-      if (monitor) monitor->observe(window_pred[i], r.seconds, trace.size());
-    }
-    if (results.size() < configs.size()) {  // cancelled mid-window
-      trace.set_stop_reason(kCancelledStopReason);
-      publish_prune_stats();
-      return trace;
-    }
   }
-  publish_prune_stats();
 
   // Fallback guarantee: if the cutoff pruned everything (e.g. a degenerate
   // model), evaluate the first draws unconditionally so the search always
-  // returns a configuration. Deliberately serial: it is a <= 10-eval
-  // emergency path, not a throughput path.
-  if (trace.empty()) {
-    ConfigStream fallback(space, opt.seed);
-    while (trace.size() < std::min<std::size_t>(opt.max_evals, 10)) {
-      auto config = fallback.next();
-      if (!config) break;
-      const EvalResult r = eval.evaluate(*config);
-      if (!r.ok) {
-        if (abort_on_failure(trace, budget, r)) return trace;
-        continue;
-      }
-      trace.note_result(r);
-      budget.note(r);
-      trace.record(std::move(*config), r.seconds, fallback.produced() - 1);
-    }
+  // returns a configuration — unless it aborted or was cancelled.
+  if (trace.empty() && trace.stop_reason().empty()) {
+    StreamSource fallback(space, opt.seed);
+    loop.monitor = nullptr;
+    loop.width = window_width(eval);
+    loop.run(fallback, std::min<std::size_t>(opt.max_evals, 10));
   }
   return trace;
 }
@@ -405,113 +177,52 @@ SearchTrace biased_random_search(Evaluator& eval,
   SearchTrace trace("RS_b", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
   const ParamSpace& space = eval.space();
-  FailureBudgetTracker budget(opt.failure_budget);
 
-  // Phase 1: sample the candidate pool X_p, predict all run times (fanned
-  // out over the shared pool — prediction i depends only on pool entry i,
-  // so the ranking is deterministic), and rank by ascending prediction.
-  std::vector<ParamConfig> pool;
-  std::vector<double> pred;
-  std::vector<std::size_t> order;
+  // Phase 1: sample the candidate pool X_p and rank it by ascending
+  // predicted run time.
+  RankedPool pool;
   {
     obs::ScopedTimer rank_phase("search.RS_b.rank", "search",
                                 {{"pool_size", opt.pool_size}});
-    ConfigStream stream(space, opt.seed);
-    pool.reserve(opt.pool_size);
-    while (pool.size() < opt.pool_size) {
-      auto c = stream.next();
-      if (!c) break;
-      pool.push_back(std::move(*c));
-    }
-    PT_REQUIRE(!pool.empty(), "empty candidate pool");
-    pred = predict_all(model, space, pool);
-    order = argsort(pred);
-    rank_phase.add_field({"pool", pool.size()});
+    pool = rank_pool(&model, space, opt.seed, opt.pool_size);
+    rank_phase.add_field({"pool", pool.configs.size()});
   }
+  PoolSource source(std::move(pool), space);
 
   // Phase 2: evaluate in ascending predicted-run-time order (equivalent to
-  // repeatedly taking argmin over the remaining pool, Algorithm 2 line 7),
-  // one window at a time. With the guard enabled the order is no longer
-  // immutable: when trust degrades and enough target observations have
-  // accumulated, a hybrid forest (source rows + weighted target rows) is
-  // refitted once and the remaining pool re-ranked; when trust collapses
-  // or the refit fails too, the remainder falls back to draw order — the
-  // order the pool was sampled in, i.e. plain RS over X_p. `used` makes
-  // the re-orderings safe: a configuration is evaluated at most once.
+  // repeatedly taking argmin over the remaining pool, Algorithm 2 line 7).
+  // With the guard enabled the order is no longer immutable: when trust
+  // degrades and enough target observations have accumulated, a hybrid
+  // forest (source rows + weighted target rows) is refitted once and the
+  // remaining pool re-ranked; when trust collapses or the refit fails
+  // too, the remainder falls back to draw order — plain RS over X_p.
   std::optional<TrustMonitor> monitor;
   if (opt.guard.enabled) monitor.emplace(opt.guard, "RS_b");
-  ml::RegressorPtr refit_model;  // owns the hybrid forest after a refit
-  std::vector<bool> used(pool.size(), false);
-  std::size_t cursor = 0;
+  SearchLoop loop(eval, trace, opt.failure_budget, opt.cancel,
+                  window_width(eval, opt.guard));
   bool draw_order_fallback = false;
-  const auto maybe_react = [&] {
-    if (!monitor || draw_order_fallback) return;
-    if (monitor->state() == GuardState::Disabled) {
-      order.resize(pool.size());
-      for (std::size_t i = 0; i < pool.size(); ++i) order[i] = i;
-      cursor = 0;
-      draw_order_fallback = true;
-      return;
-    }
-    if (monitor->state() == GuardState::Degraded &&
-        opt.guard.refit_after > 0 && !monitor->refit_spent() &&
-        trace.size() >= opt.guard.refit_after) {
-      refit_model =
-          fit_hybrid_surrogate(opt.guard.refit_source, trace, space,
-                               opt.guard.refit_target_weight,
-                               opt.guard.refit_forest);
-      pred = predict_all(*refit_model, space, pool);
-      order = argsort(pred);
-      cursor = 0;
-      monitor->note_refit(trace.size());
-    }
-  };
-
-  const std::size_t width = guarded_batch_width(eval, opt.guard);
-  while (trace.size() < opt.max_evals) {
-    if (opt.cancel.cancelled()) {
-      trace.set_stop_reason(kCancelledStopReason);
-      return trace;
-    }
-    const std::size_t want = std::min(width, opt.max_evals - trace.size());
-    std::vector<ParamConfig> configs;
-    std::vector<std::size_t> pool_idx;
-    std::vector<double> window_pred;
-    configs.reserve(want);
-    pool_idx.reserve(want);
-    window_pred.reserve(want);
-    while (configs.size() < want && cursor < order.size()) {
-      const std::size_t pick = order[cursor++];
-      if (used[pick]) continue;  // evaluated before a re-ranking
-      used[pick] = true;
-      pool_idx.push_back(pick);
-      configs.push_back(pool[pick]);
-      window_pred.push_back(pred[pick]);
-    }
-    if (configs.empty()) break;  // pool exhausted
-
-    const std::vector<EvalResult> results =
-        evaluate_window(eval, configs, trace.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const EvalResult& r = results[i];
-      if (!r.ok) {
-        if (abort_on_failure(trace, budget, r)) return trace;
-        continue;
-      }
-      trace.note_result(r);
-      budget.note(r);
-      trace.record(std::move(configs[i]), r.seconds, pool_idx[i]);
-      if (monitor) monitor->observe(window_pred[i], r.seconds, trace.size());
-    }
-    if (results.size() < configs.size()) {  // cancelled mid-window
-      trace.set_stop_reason(kCancelledStopReason);
-      return trace;
-    }
+  if (monitor) {
+    loop.monitor = &*monitor;
     // Guard reactions happen at window granularity, after the window's
     // results are accounted in draw order — the same points in the
     // decision sequence at every thread count.
-    maybe_react();
+    loop.after_window = [&] {
+      if (draw_order_fallback) return;
+      if (monitor->state() == GuardState::Disabled) {
+        source.rerank(nullptr);
+        draw_order_fallback = true;
+      } else if (monitor->state() == GuardState::Degraded &&
+                 opt.guard.refit_after > 0 && !monitor->refit_spent() &&
+                 trace.size() >= opt.guard.refit_after) {
+        const ml::RegressorPtr refit = fit_hybrid_surrogate(
+            opt.guard.refit_source, trace, space,
+            opt.guard.refit_target_weight, opt.guard.refit_forest);
+        source.rerank(refit.get());
+        monitor->note_refit(trace.size());
+      }
+    };
   }
+  loop.run(source, opt.max_evals);
   return trace;
 }
 
@@ -520,31 +231,16 @@ SearchTrace model_free_pruned(Evaluator& eval, const SearchTrace& source,
                               const FailureBudget& fb,
                               CancellationToken cancel) {
   PT_REQUIRE(!source.empty(), "RS_pf requires source data");
-  SearchTrace trace("RS_pf", eval.problem_name(), eval.machine_name());
-  SearchSpanGuard span(trace);
-  FailureBudgetTracker budget(fb);
   std::vector<double> ys;
   ys.reserve(source.size());
   for (const auto& e : source.entries()) ys.push_back(e.seconds);
   const double cutoff = quantile(ys, delta_percent / 100.0);
-
-  for (const auto& e : source.entries()) {
-    if (trace.size() >= max_evals) break;
-    if (cancel.cancelled()) {
-      trace.set_stop_reason(kCancelledStopReason);
-      break;
-    }
-    if (e.seconds >= cutoff) continue;  // pruned by the source run time
-    const EvalResult r = eval.evaluate(e.config);
-    if (!r.ok) {
-      if (abort_on_failure(trace, budget, r)) break;
-      continue;
-    }
-    trace.note_result(r);
-    budget.note(r);
-    trace.record(e.config, r.seconds, e.draw_index);
-  }
-  return trace;
+  // Pruned by the source run time; survivors keep source order.
+  std::vector<Draw> order;
+  for (const auto& e : source.entries())
+    if (e.seconds < cutoff) order.push_back({e.config, e.draw_index});
+  return evaluate_in_order(eval, "RS_pf", std::move(order), max_evals, fb,
+                           std::move(cancel));
 }
 
 SearchTrace model_free_biased(Evaluator& eval, const SearchTrace& source,
@@ -552,31 +248,15 @@ SearchTrace model_free_biased(Evaluator& eval, const SearchTrace& source,
                               const FailureBudget& fb,
                               CancellationToken cancel) {
   PT_REQUIRE(!source.empty(), "RS_bf requires source data");
-  SearchTrace trace("RS_bf", eval.problem_name(), eval.machine_name());
-  SearchSpanGuard span(trace);
-  FailureBudgetTracker budget(fb);
   std::vector<double> ys;
   ys.reserve(source.size());
   for (const auto& e : source.entries()) ys.push_back(e.seconds);
-  const auto order = argsort(ys);
-
-  for (std::size_t rank = 0;
-       rank < order.size() && trace.size() < max_evals; ++rank) {
-    if (cancel.cancelled()) {
-      trace.set_stop_reason(kCancelledStopReason);
-      break;
-    }
-    const auto& e = source.entry(order[rank]);
-    const EvalResult r = eval.evaluate(e.config);
-    if (!r.ok) {
-      if (abort_on_failure(trace, budget, r)) break;
-      continue;
-    }
-    trace.note_result(r);
-    budget.note(r);
-    trace.record(e.config, r.seconds, e.draw_index);
-  }
-  return trace;
+  std::vector<Draw> order;
+  order.reserve(source.size());
+  for (const std::size_t i : argsort(ys))
+    order.push_back({source.entry(i).config, source.entry(i).draw_index});
+  return evaluate_in_order(eval, "RS_bf", std::move(order), max_evals, fb,
+                           std::move(cancel));
 }
 
 }  // namespace portatune::tuner

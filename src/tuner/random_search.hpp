@@ -16,6 +16,12 @@
 //
 // All functions are deterministic given their seeds; the shared-seed
 // ConfigStream implements the common-random-numbers protocol of Sec. IV-D.
+// Each one is a thin configuration of the same evaluation-window loop
+// (tuner/search_loop.hpp) and differs only in where its next configuration
+// comes from, so all of them evaluate in the evaluator's preferred windows,
+// account results strictly in draw order (bit-identical traces at any
+// thread count), honour the failure budget, and stop at the next window
+// boundary once `cancel` fires.
 #pragma once
 
 #include <functional>
@@ -36,7 +42,7 @@ namespace portatune::tuner {
 /// Serialized by save_checkpoint_csv / load_checkpoint_csv.
 struct SearchCheckpoint {
   SearchTrace trace;
-  std::size_t draws = 0;  ///< ConfigStream::produced() at snapshot time
+  std::size_t draws = 0;  ///< draws accounted (the consumed watermark)
   std::vector<std::uint64_t> quarantine;
   /// Suggestions handed out by TuningSession::suggest() but not yet
   /// report()ed at snapshot time: (config hash, draw index) pairs. The

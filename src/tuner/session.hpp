@@ -11,20 +11,14 @@
 // itself is plain tuner code with no service dependencies, so embedders
 // can drive one directly.
 //
-// Two session kinds exist:
-//
-//   TuningSession     — single-machine incremental search. Cold sessions
-//                       walk the seeded without-replacement draw stream
-//                       exactly like RS; warm sessions rank a candidate
-//                       pool with a surrogate handed in at open (the
-//                       store's nearest-machine forest) and evaluate in
-//                       ascending predicted order, exactly like RS_b.
-//   ExperimentSession — the paper's six-phase transfer protocol
-//                       (Sec. IV-D) wrapped in a session. The legacy
-//                       free function run_transfer_experiment() is now a
-//                       thin adapter that opens one of these, runs it,
-//                       and returns its result — same traces, same
-//                       journal artifacts, bit-for-bit.
+// A TuningSession is single-machine incremental search. Cold sessions
+// walk the seeded without-replacement draw stream exactly like RS; warm
+// sessions rank a candidate pool with a surrogate handed in at open (the
+// store's nearest-machine forest) and evaluate in ascending predicted
+// order, exactly like RS_b. Both are configurations of the search loop
+// (tuner/search_loop.hpp) the free-function searches run on: step() runs
+// that loop for a bounded number of evaluations, suggest() pulls draws
+// from the same source without evaluating them.
 //
 // Lifecycle observability: every session emits a `session.open` instant
 // at construction and a `session.closed` span (duration = session
@@ -33,15 +27,12 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "ml/model.hpp"
-#include "tuner/experiment.hpp"
 #include "tuner/random_search.hpp"
-#include "tuner/resilience.hpp"
-#include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 #include "tuner/search_options.hpp"
 #include "tuner/trace.hpp"
 
@@ -88,8 +79,8 @@ class TuningSession {
   bool closed() const noexcept { return closed_; }
 
   /// Evaluate up to `n` further configurations through the session's
-  /// evaluator (one batch window; the evaluator fans it out if it can).
-  /// Throws after close().
+  /// evaluator, in windows of its preferred batch (the evaluator fans
+  /// each out if it can). Throws after close().
   SessionStepStats step(std::size_t n);
 
   /// Consume and return up to `n` candidate configurations without
@@ -99,9 +90,10 @@ class TuningSession {
   std::vector<ParamConfig> suggest(std::size_t n);
 
   /// Record one externally measured run time for a configuration handed
-  /// out by suggest(). Throws when the configuration was not suggested
-  /// by this session (outstanding suggestions are part of the checkpoint,
-  /// so they survive a resume).
+  /// out by suggest(). Throws when the run time is not finite and
+  /// positive, or the configuration was not suggested by this session
+  /// (outstanding suggestions are part of the checkpoint, so they survive
+  /// a resume).
   void report(const ParamConfig& config, double seconds);
 
   /// Snapshot for persistence: the trace, the number of draws / pool
@@ -114,76 +106,29 @@ class TuningSession {
   void close();
 
   const SearchTrace& trace() const noexcept { return trace_; }
-  const Evaluator& evaluator() const noexcept { return eval_; }
-  std::size_t consumed_draws() const noexcept { return consumed_; }
   std::size_t remaining_budget() const noexcept {
     return trace_.size() >= opt_.max_evals ? 0
                                            : opt_.max_evals - trace_.size();
   }
 
  private:
-  /// Pull up to `want` fresh configurations (cold: stream draws, warm:
-  /// ranked pool picks). `draw_idx[i]` is what the trace entry records
-  /// (stream position / pool index, the CRN identity); `marker[i]` is the
-  /// consumed-draws watermark once configs[i] is accounted — checkpoints
-  /// store the marker of the last accounted result, so a window cancelled
-  /// mid-flight rolls its unprocessed tail draws back, exactly like RS.
-  void gather(std::size_t want, std::vector<ParamConfig>& configs,
-              std::vector<std::size_t>& draw_idx,
-              std::vector<std::size_t>& marker);
   void require_open(const char* op) const;
 
   Evaluator& eval_;
   SessionOptions opt_;
   SearchTrace trace_;
-  FailureBudgetTracker budget_;
+  /// Failure budget, window width and consumed-draws watermark (draws
+  /// when cold, ranked-pool picks when warm).
+  SearchLoop loop_;
+  /// Cold: the seeded stream. Warm: the ranked pool.
+  std::unique_ptr<DrawSource> source_;
   double opened_mono_ = 0.0;
   bool closed_ = false;
   bool exhausted_ = false;
-  std::size_t consumed_ = 0;  ///< draws (cold) / pool picks (warm) accounted
-
-  // Cold path.
-  std::unique_ptr<ConfigStream> stream_;
-
-  // Warm path (RS_b-style ranked pool).
-  std::vector<ParamConfig> pool_;
-  std::vector<std::size_t> order_;  ///< pool indices, ascending prediction
-  std::size_t cursor_ = 0;          ///< next order_ position gather takes
 
   /// Outstanding suggestions: config hash -> draw index, so report()
   /// stamps the entry with the same index step() would have.
   std::vector<std::pair<std::uint64_t, std::size_t>> pending_;
-};
-
-/// The six-phase transfer protocol as a session. run() executes the
-/// engine exactly as the historical run_transfer_experiment did (same
-/// phases, same hooks, same traces); the session wrapper adds the
-/// lifecycle events and gives the service layer a handle to multiplex.
-class ExperimentSession {
- public:
-  /// Evaluators and settings must outlive run().
-  ExperimentSession(Evaluator& source, Evaluator& target,
-                    const ExperimentSettings& settings,
-                    std::string id = "experiment");
-  ~ExperimentSession();
-
-  ExperimentSession(const ExperimentSession&) = delete;
-  ExperimentSession& operator=(const ExperimentSession&) = delete;
-
-  /// Execute the protocol (once). Cancellation and crash-safety hooks
-  /// behave exactly as documented on ExperimentSettings.
-  TransferExperimentResult run();
-
-  const std::string& id() const noexcept { return id_; }
-
- private:
-  Evaluator& source_;
-  Evaluator& target_;
-  const ExperimentSettings& settings_;
-  std::string id_;
-  double opened_mono_ = 0.0;
-  bool ran_ = false;
-  bool closed_ = false;
 };
 
 }  // namespace portatune::tuner

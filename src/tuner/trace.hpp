@@ -43,7 +43,7 @@ struct TraceEntry {
   double elapsed = 0.0;       ///< cumulative search time after this eval
   std::size_t draw_index = 0; ///< position in the sampling stream (CRN)
   /// Wall-clock time the entry was recorded, in seconds since the Unix
-  /// epoch (0 for entries restored from files that predate the column).
+  /// epoch (0 when unknown).
   /// `elapsed` is the *simulated* search clock; this is the real one, so
   /// exports can reconstruct actual timelines.
   double wall_unix = 0.0;
@@ -82,8 +82,8 @@ class SearchTrace {
 
   // -- Checkpoint restore support (persistence.cpp) ---------------------
   /// Append an entry with its original elapsed timestamp (does not
-  /// recompute the clock like record() does). `wall_unix` is 0 for
-  /// checkpoints written before the wall-clock column existed.
+  /// recompute the clock like record() does). `wall_unix` is the saved
+  /// wall-clock stamp (0 when unknown).
   void restore_entry(ParamConfig config, double seconds, double elapsed,
                      std::size_t draw_index, double wall_unix = 0.0);
   void restore_failure_stats(const FailureStats& stats) { failures_ = stats; }

@@ -19,16 +19,6 @@ ml::RegressorPtr fit_surrogate(const SearchTrace& source,
   return model;
 }
 
-void fit_surrogate_into(ml::Regressor& model, const SearchTrace& source,
-                        const ParamSpace& space) {
-  PT_REQUIRE(!source.empty(), "cannot fit a surrogate on an empty trace");
-  obs::ScopedTimer span("transfer.fit_surrogate", "ml",
-                        {{"source_machine", source.machine()},
-                         {"problem", source.problem()},
-                         {"rows", source.size()}});
-  model.fit(source.to_dataset(space));
-}
-
 ml::Dataset hybrid_dataset(const SearchTrace* source,
                            const SearchTrace& target,
                            const ParamSpace& space,

@@ -16,10 +16,6 @@ ml::RegressorPtr fit_surrogate(const SearchTrace& source,
                                const ParamSpace& space,
                                const ml::ForestParams& params = {});
 
-/// Fit an arbitrary regressor (surrogate-family ablation).
-void fit_surrogate_into(ml::Regressor& model, const SearchTrace& source,
-                        const ParamSpace& space);
-
 /// Training set mixing source rows (when `source` is non-null) with the
 /// target rows repeated `target_weight` times — cheap importance
 /// weighting of on-target evidence against the source prior. Shared by

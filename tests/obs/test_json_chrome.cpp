@@ -42,6 +42,25 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::Value::parse("'single'"), Error);
 }
 
+TEST(Json, BoundsNestingDepth) {
+  // 256 levels parse; one more is a parse error, and so is a line of
+  // nothing but '[' far too deep to recurse through.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(json::Value::parse(nested(256)));
+  EXPECT_THROW(json::Value::parse(nested(257)), Error);
+  try {
+    json::Value::parse(std::string(900000, '['));
+    FAIL() << "900000 nested arrays parsed";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("json: ", 0), 0u) << what;
+    EXPECT_NE(what.find("nesting deeper than 256"), std::string::npos)
+        << what;
+  }
+}
+
 TEST(Json, DumpRoundTrips) {
   const std::string doc = R"({"a":[1,true,"x\n"],"b":null})";
   const auto v = json::Value::parse(doc);

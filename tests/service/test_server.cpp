@@ -156,6 +156,19 @@ TEST_F(ServerTest, TornLineAndDisconnectLeaveServerServing) {
       Value::parse(client.call(R"({"op":"status"})")).at("ok").as_bool());
 }
 
+TEST_F(ServerTest, DeeplyNestedLineGetsOneErrorReply) {
+  start();
+  ServiceClient client(socket_path_);
+  // Under the 1 MiB line cap, but far deeper than the parser recurses.
+  const Value reply = Value::parse(client.call(std::string(900000, '[')));
+  EXPECT_FALSE(reply.at("ok").as_bool());
+  EXPECT_NE(reply.at("error").as_string().find("nesting"), std::string::npos);
+  // The daemon survived and the connection still serves.
+  const Value stats = Value::parse(client.call(R"({"op":"stats"})"));
+  EXPECT_TRUE(stats.at("ok").as_bool());
+  EXPECT_EQ(counter("server.requests_failed"), 1u);
+}
+
 TEST_F(ServerTest, OversizedLineGetsErrorReplyAndHangup) {
   ServeOptions opt;
   opt.max_line_bytes = 64;

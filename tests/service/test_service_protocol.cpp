@@ -110,6 +110,37 @@ TEST_F(ServiceProtocolTest, SuggestAndReportUseIndexArrays) {
   EXPECT_FALSE(bad.at("ok").as_bool());
 }
 
+TEST_F(ServiceProtocolTest, NonFiniteReportIsRejectedAndTheSessionResumes) {
+  ASSERT_TRUE(open_session("inf").at("ok").as_bool());
+  const auto suggested = call(R"({"op":"suggest","id":"inf","n":1})");
+  ASSERT_TRUE(suggested.at("ok").as_bool());
+  const std::string config = suggested.at("configs").as_array()[0].dump();
+
+  // The JSON parser reads 1e999 as +inf: an error reply, not a trace row.
+  const auto rejected = call(R"({"op":"report","id":"inf","config":)" +
+                             config + R"(,"seconds":1e999})");
+  EXPECT_FALSE(rejected.at("ok").as_bool());
+  EXPECT_NE(rejected.at("error").as_string().find("finite"),
+            std::string::npos);
+  // The suggestion is still outstanding and takes a finite report.
+  EXPECT_TRUE(call(R"({"op":"report","id":"inf","config":)" + config +
+                   R"(,"seconds":0.5})")
+                  .at("ok")
+                  .as_bool());
+  ASSERT_TRUE(call(R"({"op":"checkpoint","id":"inf"})").at("ok").as_bool());
+
+  // A restarted daemon over the same data dir resumes from that
+  // checkpoint.
+  TuningServiceOptions opt;
+  opt.data_dir = testing::TempDir() + "portatune_proto_" + pid_suffix();
+  TuningService revived(opt);
+  ServiceProtocol proto(revived);
+  const auto resumed = obs::json::Value::parse(
+      proto.handle_line(R"({"op":"resume","id":"inf"})").line);
+  ASSERT_TRUE(resumed.at("ok").as_bool()) << resumed.dump();
+  EXPECT_EQ(revived.find("inf")->trace_snapshot().size(), 1u);
+}
+
 TEST_F(ServiceProtocolTest, StatusReportsSessionsCacheAndStore) {
   ASSERT_TRUE(open_session("s1").at("ok").as_bool());
   ASSERT_TRUE(call(R"({"op":"step","id":"s1","n":5})").at("ok").as_bool());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "support/cancellation.hpp"
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/adaptive.hpp"
@@ -88,6 +89,68 @@ TEST(Adaptive, RejectsBadOptions) {
   AdaptiveSearchOptions opt;
   opt.refit_interval = 0;
   EXPECT_THROW(adaptive_biased_search(b, src, opt), Error);
+}
+
+TEST(Adaptive, WithoutRefitsItIsBiasedSearch) {
+  // refit_interval >= max_evals: the only fit is the initial one on the
+  // source rows, so the run is RS_b under that model, entry for entry —
+  // failed draws included.
+  auto a = source_machine();
+  const auto src = source_trace(a);
+  AdaptiveSearchOptions opt;
+  opt.max_evals = 30;
+  opt.pool_size = 600;
+  opt.refit_interval = 30;
+  opt.seed = 11;
+  opt.forest.num_trees = 16;
+  const auto fails = [](const ParamConfig& c) { return c[1] % 4 == 0; };
+  QuadraticEvaluator b1("B", {7, 2, 5, 1}, {1.1, 0.9, 1.2, 0.8});
+  b1.fail_when = fails;
+  const auto adaptive = adaptive_biased_search(b1, src, opt);
+
+  ml::ForestParams fp = opt.forest;
+  fp.seed = opt.seed;
+  const auto model = fit_surrogate(src, a.space(), fp);
+  BiasedSearchOptions b_opt;
+  b_opt.max_evals = opt.max_evals;
+  b_opt.pool_size = opt.pool_size;
+  b_opt.seed = opt.seed;
+  QuadraticEvaluator b2("B", {7, 2, 5, 1}, {1.1, 0.9, 1.2, 0.8});
+  b2.fail_when = fails;
+  const auto biased = biased_random_search(b2, *model, b_opt);
+
+  ASSERT_EQ(adaptive.size(), biased.size());
+  for (std::size_t i = 0; i < biased.size(); ++i) {
+    EXPECT_EQ(adaptive.entry(i).config, biased.entry(i).config) << i;
+    EXPECT_DOUBLE_EQ(adaptive.entry(i).seconds, biased.entry(i).seconds) << i;
+    EXPECT_EQ(adaptive.entry(i).draw_index, biased.entry(i).draw_index) << i;
+  }
+  EXPECT_EQ(adaptive.failure_stats().failures,
+            biased.failure_stats().failures);
+  EXPECT_GT(biased.failure_stats().failures, 0u);
+}
+
+TEST(Adaptive, CancellationStopsAtTheNextWindow) {
+  auto a = source_machine();
+  const auto src = source_trace(a, 20);
+  QuadraticEvaluator b("B", {7, 2, 5, 1}, {1.1, 0.9, 1.2, 0.8});
+  CancellationSource shutdown;
+  // Request shutdown from inside the 5th evaluation; the adaptive search
+  // evaluates one draw per window, so it stops right after that one.
+  std::size_t calls = 0;
+  b.fail_when = [&](const ParamConfig&) {
+    if (++calls == 5) shutdown.request_cancel();
+    return false;
+  };
+  AdaptiveSearchOptions opt;
+  opt.max_evals = 30;
+  opt.pool_size = 200;
+  opt.forest.num_trees = 8;
+  opt.cancel = shutdown.token();
+  const auto trace = adaptive_biased_search(b, src, opt);
+  EXPECT_EQ(trace.stop_reason(), kCancelledStopReason);
+  EXPECT_EQ(trace.size(), 5u);
+  EXPECT_EQ(b.calls(), 5u);
 }
 
 TEST(Similarity, IdenticalMachinesScorePerfect) {

@@ -2,7 +2,7 @@
 // truncated or bit-flipped file with a portatune::Error (the v3 checksum
 // footer, see persistence.hpp), never crash, and never silently return a
 // partial trace a resumed search would then diverge from. Legacy v1/v2
-// files carry no footer and must keep loading.
+// files carry no footer and are rejected outright.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -110,46 +110,39 @@ TEST(Corruption, CheckpointRoundTripsThroughTheChecksum) {
   EXPECT_EQ(snapshot.quarantine.size(), 2u);
 }
 
-TEST(Corruption, LegacyV1TraceStillLoads) {
+TEST(Corruption, LegacyV1AndV2FilesAreRejected) {
   QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::istringstream in(
+  const auto expect_bad_magic = [&](const std::string& bytes,
+                                    bool checkpoint) {
+    std::istringstream in(bytes);
+    try {
+      if (checkpoint)
+        load_checkpoint_csv(in, eval.space());
+      else
+        load_trace_csv(in, eval.space());
+      FAIL() << "legacy file loaded: " << bytes;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad magic line"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_bad_magic(
       "# portatune-trace v1,RS,quadratic,M\n"
       "p0,p1,p2,p3,seconds,draw_index\n"
-      "1,2,3,4,1.5,0\n"
-      "4,3,2,1,2.5,3\n");
-  const auto trace = load_trace_csv(in, eval.space());
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.entry(0).seconds, 1.5);
-  EXPECT_EQ(trace.entry(1).draw_index, 3u);
-  EXPECT_DOUBLE_EQ(trace.entry(0).wall_unix, 0.0);  // v1: unknown
-}
-
-TEST(Corruption, LegacyV2TraceStillLoads) {
-  QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::istringstream in(
+      "1,2,3,4,1.5,0\n",
+      false);
+  expect_bad_magic(
       "# portatune-trace v2,RS,quadratic,M\n"
       "p0,p1,p2,p3,seconds,draw_index,wall_unix\n"
-      "1,2,3,4,1.5,0,1700000000.25\n");
-  const auto trace = load_trace_csv(in, eval.space());
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_DOUBLE_EQ(trace.entry(0).wall_unix, 1700000000.25);
-}
-
-TEST(Corruption, LegacyV2CheckpointStillLoads) {
-  QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::istringstream in(
+      "1,2,3,4,1.5,0,1700000000.25\n",
+      false);
+  expect_bad_magic(
       "# portatune-checkpoint v2,RS,quadratic,M\n"
       "# draws,5\n"
-      "# clock,1.25\n"
-      "# stop,\n"
-      "# stats,4,1,1,0,0,0.5\n"
       "p0,p1,p2,p3,seconds,elapsed,draw_index,wall_unix\n"
-      "1,2,3,4,1.5,0.5,0,1700000000\n"
-      "4,3,2,1,2.5,1.0,2,1700000001\n");
-  const auto snapshot = load_checkpoint_csv(in, eval.space());
-  EXPECT_EQ(snapshot.trace.size(), 2u);
-  EXPECT_EQ(snapshot.draws, 5u);
-  EXPECT_EQ(snapshot.trace.failure_stats().failures, 1u);
+      "1,2,3,4,1.5,0.5,0,1700000000\n",
+      true);
 }
 
 TEST(Corruption, ForgedFooterIsRejected) {

@@ -5,7 +5,8 @@
 //   * ParallelEvaluator keeps batch order regardless of completion order
 //     and degrades to serial when the inner backend is not thread-safe.
 //   * Serial-vs-parallel determinism parity: the same seed produces a
-//     byte-identical trace CSV for RS / RS_p / RS_b at any thread count,
+//     byte-identical trace CSV for RS / RS_p / RS_b, the replay, and the
+//     model-free controls RS_pf / RS_bf at any thread count,
 //     including under fault injection, retry, quarantine, failure-budget
 //     aborts, and checkpoint/resume.
 //   * ResilientEvaluator's quarantine stays exact under concurrent
@@ -279,6 +280,74 @@ TEST(ParallelParity, FailureBudgetAbortStopsAtTheSamePoint) {
   // point, but the trace must not have seen them.
   EXPECT_EQ(canonical_csv(ts, serial.space()),
             canonical_csv(tp, backend.space()));
+}
+
+/// A source-machine RS trace for the explicit-order searches to walk.
+SearchTrace source_rs(std::size_t n, std::uint64_t seed) {
+  auto a = machine_a();
+  RandomSearchOptions opt;
+  opt.max_evals = n;
+  opt.seed = seed;
+  return random_search(a, opt);
+}
+
+TEST(ParallelParity, ReplaySearchTraceIsByteIdentical) {
+  const auto source = source_rs(60, 41);
+  std::vector<ParamConfig> order;
+  for (const auto& e : source.entries()) order.push_back(e.config);
+  const auto fails = [](const ParamConfig& c) { return c[2] % 3 == 0; };
+
+  auto serial = machine_b();
+  serial.fail_when = fails;
+  const auto ts = replay_search(serial, order, 30);
+  auto backend = machine_b();
+  backend.fail_when = fails;
+  ParallelEvaluator par(backend, {.threads = 4});
+  const auto tp = replay_search(par, order, 30);
+
+  ASSERT_EQ(ts.size(), 30u);
+  EXPECT_EQ(canonical_csv(ts, serial.space()),
+            canonical_csv(tp, backend.space()));
+  EXPECT_EQ(ts.failure_stats().failures, tp.failure_stats().failures);
+}
+
+TEST(ParallelParity, ModelFreePrunedTraceIsByteIdentical) {
+  const auto source = source_rs(100, 43);
+  const auto fails = [](const ParamConfig& c) { return c[3] % 4 == 0; };
+
+  auto serial = machine_b();
+  serial.fail_when = fails;
+  const auto ts = model_free_pruned(serial, source, 30.0);
+  auto backend = machine_b();
+  backend.fail_when = fails;
+  ParallelEvaluator par(backend, {.threads = 4});
+  const auto tp = model_free_pruned(par, source, 30.0);
+
+  ASSERT_FALSE(ts.empty());
+  EXPECT_EQ(canonical_csv(ts, serial.space()),
+            canonical_csv(tp, backend.space()));
+  EXPECT_EQ(ts.failure_stats().failures, tp.failure_stats().failures);
+}
+
+TEST(ParallelParity, ModelFreeBiasedAbortStopsAtTheSamePoint) {
+  const auto source = source_rs(100, 47);
+  FailureBudget fb;
+  fb.max_total = 5;
+  const auto fails = [](const ParamConfig& c) { return c[0] % 2 == 0; };
+
+  auto serial = machine_b();
+  serial.fail_when = fails;
+  const auto ts = model_free_biased(serial, source, SIZE_MAX, fb);
+  auto backend = machine_b();
+  backend.fail_when = fails;
+  ParallelEvaluator par(backend, {.threads = 4});
+  const auto tp = model_free_biased(par, source, SIZE_MAX, fb);
+
+  ASSERT_FALSE(ts.stop_reason().empty());
+  EXPECT_EQ(ts.stop_reason(), tp.stop_reason());
+  EXPECT_EQ(canonical_csv(ts, serial.space()),
+            canonical_csv(tp, backend.space()));
+  EXPECT_EQ(ts.failure_stats().failures, tp.failure_stats().failures);
 }
 
 TEST(ParallelParity, CheckpointResumeMatchesUninterruptedRun) {

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/random_search.hpp"
@@ -108,22 +109,33 @@ TEST(Persistence, RejectsMismatchedSpace) {
   EXPECT_THROW(load_trace_csv(buf, other), Error);
 }
 
-TEST(Persistence, RejectsValuesOutsideTheDomain) {
+/// Load `payload` (checksummed like a real file, so only the rows are
+/// wrong) and expect the loader to reject it with `why` in the message.
+void expect_trace_rejected(const std::string& payload, const std::string& why) {
   QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::stringstream buf(
-      "# portatune-trace v1,RS,quadratic,M\n"
-      "p0,p1,p2,p3,seconds,draw_index\n"
-      "99,0,0,0,1.5,0\n");  // 99 is not a value of p0 (0..9)
-  EXPECT_THROW(load_trace_csv(buf, eval.space()), Error);
+  std::stringstream buf(append_checksum_footer(payload));
+  try {
+    load_trace_csv(buf, eval.space());
+    FAIL() << "trace loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+TEST(Persistence, RejectsValuesOutsideTheDomain) {
+  expect_trace_rejected(
+      "# portatune-trace v3,RS,quadratic,M\n"
+      "p0,p1,p2,p3,seconds,draw_index,wall_unix\n"
+      "99,0,0,0,1.5,0,0\n",  // 99 is not a value of p0 (0..9)
+      "not in the domain of parameter p0");
 }
 
 TEST(Persistence, RejectsNegativeRunTimes) {
-  QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::stringstream buf(
-      "# portatune-trace v1,RS,quadratic,M\n"
-      "p0,p1,p2,p3,seconds,draw_index\n"
-      "1,2,3,4,-1.0,0\n");
-  EXPECT_THROW(load_trace_csv(buf, eval.space()), Error);
+  expect_trace_rejected(
+      "# portatune-trace v3,RS,quadratic,M\n"
+      "p0,p1,p2,p3,seconds,draw_index,wall_unix\n"
+      "1,2,3,4,-1.0,0,0\n",
+      "bad run time");
 }
 
 TEST(Persistence, MissingFileThrows) {

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/persistence.hpp"
@@ -336,11 +337,19 @@ TEST(Checkpoint, LoaderRejectsCorruptInput) {
   std::stringstream not_a_checkpoint("# portatune-trace v1,RS,q,A\n");
   EXPECT_THROW(load_checkpoint_csv(not_a_checkpoint, space), Error);
 
-  std::stringstream wrong_space(
-      "# portatune-checkpoint v1,RS,q,A\n"
+  // Checksummed like a real file, so only the space is wrong.
+  std::stringstream wrong_space(append_checksum_footer(
+      "# portatune-checkpoint v3,RS,q,A\n"
       "# draws,5\n"
-      "bogus,seconds,elapsed,draw_index\n");
-  EXPECT_THROW(load_checkpoint_csv(wrong_space, space), Error);
+      "bogus,seconds,elapsed,draw_index,wall_unix\n"));
+  try {
+    load_checkpoint_csv(wrong_space, space);
+    FAIL() << "checkpoint over the wrong space loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not match the parameter space"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
-// Session-API adapter parity: the legacy free function
-// run_transfer_experiment() is a thin adapter over ExperimentSession and
-// must reproduce it bit for bit, and a cold TuningSession stepped to
-// exhaustion is exactly the historical random_search().
+// Session-API parity: a TuningSession is a configuration of the same
+// search loop and draw sources as the free-function searches, so a cold
+// session stepped to exhaustion is exactly random_search() and a warm one
+// exactly biased_random_search(), whatever the step granularity.
 #include <gtest/gtest.h>
 
 #include "apps/tuning_config.hpp"
-#include "tuner/experiment.hpp"
 #include "tuner/random_search.hpp"
 #include "tuner/session.hpp"
+#include "tuner/transfer.hpp"
 
 namespace portatune::tuner {
 namespace {
@@ -22,53 +22,6 @@ void expect_traces_equal(const SearchTrace& a, const SearchTrace& b,
     EXPECT_EQ(a.entry(i).draw_index, b.entry(i).draw_index)
         << what << " entry " << i;
   }
-}
-
-apps::TuningConfig transfer_config() {
-  return apps::TuningConfig{}
-      .problem("LU")
-      .machines("Westmere", "Sandybridge")
-      .max_evals(25)
-      .pool_size(2000)
-      .seed(13);
-}
-
-TEST(SessionAdapter, FreeFunctionMatchesExperimentSession) {
-  const apps::TuningConfig cfg = transfer_config();
-  const ExperimentSettings settings = cfg.experiment_settings();
-
-  // Legacy entry point, fresh stacks.
-  auto src1 = cfg.make_stack(apps::StackRole::Source);
-  auto tgt1 = cfg.make_stack(apps::StackRole::Target);
-  const TransferExperimentResult legacy =
-      run_transfer_experiment(*src1, *tgt1, settings);
-
-  // The session it adapts to, fresh stacks again.
-  auto src2 = cfg.make_stack(apps::StackRole::Source);
-  auto tgt2 = cfg.make_stack(apps::StackRole::Target);
-  ExperimentSession session(*src2, *tgt2, settings, "parity");
-  const TransferExperimentResult direct = session.run();
-
-  expect_traces_equal(legacy.source_rs, direct.source_rs, "source_rs");
-  expect_traces_equal(legacy.target_rs, direct.target_rs, "target_rs");
-  expect_traces_equal(legacy.pruned, direct.pruned, "pruned");
-  expect_traces_equal(legacy.biased, direct.biased, "biased");
-  expect_traces_equal(legacy.pruned_mf, direct.pruned_mf, "pruned_mf");
-  expect_traces_equal(legacy.biased_mf, direct.biased_mf, "biased_mf");
-
-  EXPECT_DOUBLE_EQ(legacy.pearson, direct.pearson);
-  EXPECT_DOUBLE_EQ(legacy.spearman, direct.spearman);
-  EXPECT_DOUBLE_EQ(legacy.top_overlap, direct.top_overlap);
-  EXPECT_DOUBLE_EQ(legacy.pruned_speedup.performance,
-                   direct.pruned_speedup.performance);
-  EXPECT_DOUBLE_EQ(legacy.pruned_speedup.search,
-                   direct.pruned_speedup.search);
-  EXPECT_DOUBLE_EQ(legacy.biased_speedup.performance,
-                   direct.biased_speedup.performance);
-  EXPECT_DOUBLE_EQ(legacy.biased_speedup.search,
-                   direct.biased_speedup.search);
-  EXPECT_FALSE(legacy.interrupted);
-  EXPECT_FALSE(direct.interrupted);
 }
 
 TEST(SessionAdapter, ColdSessionSteppedToExhaustionIsRandomSearch) {
@@ -92,6 +45,48 @@ TEST(SessionAdapter, ColdSessionSteppedToExhaustionIsRandomSearch) {
   session.close();
 
   expect_traces_equal(session.trace(), rs, "cold session vs RS");
+}
+
+TEST(SessionAdapter, WarmSessionSteppedToExhaustionIsBiasedSearch) {
+  // The surrogate comes from another machine's RS trace, as the store's
+  // nearest-machine forest would.
+  const apps::TuningConfig source_cfg =
+      apps::TuningConfig{}.problem("LU").machine("Westmere").max_evals(60)
+          .seed(4);
+  auto source_stack = source_cfg.make_stack();
+  RandomSearchOptions src_opt;
+  static_cast<SearchCommon&>(src_opt) = source_cfg.search_common();
+  const SearchTrace source = random_search(*source_stack, src_opt);
+  ml::ForestParams fp;
+  fp.num_trees = 16;
+  fp.seed = 4;
+  const auto model = fit_surrogate(source, source_stack->space(), fp);
+
+  const apps::TuningConfig cfg = apps::TuningConfig{}
+                                     .problem("LU")
+                                     .machine("Sandybridge")
+                                     .max_evals(35)
+                                     .pool_size(1500)
+                                     .seed(17);
+  auto stack_rs = cfg.make_stack();
+  BiasedSearchOptions b_opt;
+  static_cast<SearchCommon&>(b_opt) = cfg.search_common();
+  b_opt.pool_size = cfg.pool_size();
+  const SearchTrace biased = biased_random_search(*stack_rs, *model, b_opt);
+
+  auto stack_session = cfg.make_stack();
+  SessionOptions opt = cfg.session_options("warm");
+  opt.warm_model = model.get();
+  TuningSession session(*stack_session, opt);
+  ASSERT_TRUE(session.warm());
+  for (std::size_t n : {2u, 9u, 1u, 13u}) {
+    if (session.step(n).exhausted) break;
+  }
+  while (!session.step(6).exhausted) {
+  }
+  session.close();
+
+  expect_traces_equal(session.trace(), biased, "warm session vs RS_b");
 }
 
 TEST(SessionAdapter, SuggestReportInterleavesWithStepLosslessly) {

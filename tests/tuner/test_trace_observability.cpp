@@ -1,6 +1,6 @@
 // Satellite coverage for the observability PR: wall-clock timestamps on
-// trace entries, their persistence (v2 files, v1 compatibility), failure
-// statistics round-trips, and overhead/elapsed clock interaction.
+// trace entries, their persistence, failure statistics round-trips, and
+// overhead/elapsed clock interaction.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -48,38 +48,6 @@ TEST(TraceWallClock, TraceCsvRoundTripsTimestamps) {
   for (std::size_t i = 0; i < original.size(); ++i)
     EXPECT_DOUBLE_EQ(loaded.entry(i).wall_unix,
                      original.entry(i).wall_unix);
-}
-
-TEST(TraceWallClock, V1TracesWithoutTheColumnStillLoad) {
-  QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::stringstream buf(
-      "# portatune-trace v1,RS,quadratic,M\n"
-      "p0,p1,p2,p3,seconds,draw_index\n"
-      "1,2,3,4,1.5,0\n"
-      "4,3,2,1,2.5,1\n");
-  const auto loaded = load_trace_csv(buf, eval.space());
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_DOUBLE_EQ(loaded.entry(0).seconds, 1.5);
-  // Pre-column entries restore as "unknown", never as load time.
-  EXPECT_DOUBLE_EQ(loaded.entry(0).wall_unix, 0.0);
-  EXPECT_DOUBLE_EQ(loaded.entry(1).wall_unix, 0.0);
-}
-
-TEST(TraceWallClock, V1CheckpointsStillLoad) {
-  QuadraticEvaluator eval("M", {1, 1, 1, 1}, {1, 1, 1, 1});
-  std::stringstream buf(
-      "# portatune-checkpoint v1,RS,quadratic,M\n"
-      "# draws,3\n"
-      "# clock,4.5\n"
-      "# stats,3,1,1,0,0,0.25\n"
-      "p0,p1,p2,p3,seconds,elapsed,draw_index\n"
-      "1,2,3,4,1.5,1.5,0\n"
-      "4,3,2,1,2.5,4.0,2\n");
-  const auto snapshot = load_checkpoint_csv(buf, eval.space());
-  ASSERT_EQ(snapshot.trace.size(), 2u);
-  EXPECT_EQ(snapshot.draws, 3u);
-  EXPECT_DOUBLE_EQ(snapshot.trace.entry(1).wall_unix, 0.0);
-  EXPECT_EQ(snapshot.trace.failure_stats().transient, 1u);
 }
 
 TEST(FailureStatsPersistence, RoundTripsNonZeroCounts) {
