@@ -19,7 +19,7 @@ int main() {
   kernels::SimulatedKernelEvaluator wm(lu, sim::make_westmere());
   const auto settings = bench::paper_settings();
 
-  const auto source = tuner::run_reference_rs(wm, settings);
+  const auto source = tuner::random_search(wm, settings);
   ml::ForestParams fp = settings.forest;
   fp.seed = settings.seed;
   const auto model = tuner::fit_surrogate(source, lu->space(), fp);
@@ -28,7 +28,7 @@ int main() {
   kernels::SimulatedKernelEvaluator sb(lu, sim::make_sandybridge());
   std::vector<tuner::ParamConfig> order;
   for (const auto& e : source.entries()) order.push_back(e.config);
-  const auto rs = tuner::replay_search(sb, order, settings.nmax);
+  const auto rs = tuner::replay_search(sb, order, settings);
 
   std::printf("Ablation A1: RS_p cutoff delta sweep (LU, Westmere -> "
               "Sandybridge; paper uses delta = 20%%)\n\n");
@@ -36,11 +36,8 @@ int main() {
                "successful"});
   for (const double delta : {5.0, 10.0, 20.0, 40.0, 60.0, 80.0}) {
     kernels::SimulatedKernelEvaluator target(lu, sim::make_sandybridge());
-    tuner::PrunedSearchOptions opt;
-    opt.max_evals = settings.nmax;
-    opt.pool_size = settings.pool_size;
+    tuner::SearchOptions opt = settings;
     opt.delta_percent = delta;
-    opt.seed = settings.seed;
     const auto trace = tuner::pruned_random_search(target, *model, opt);
     const auto s = tuner::compare_to_rs(rs, trace);
     t.add_row({TextTable::num(delta, 0), std::to_string(trace.size()),

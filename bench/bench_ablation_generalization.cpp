@@ -20,7 +20,7 @@ tuner::SearchTrace reference_rs(kernels::SpaptProblemPtr prob,
                                 const sim::MachineDescriptor& m,
                                 const tuner::ExperimentSettings& s) {
   kernels::SimulatedKernelEvaluator eval(prob, m);
-  return tuner::run_reference_rs(eval, s);
+  return tuner::random_search(eval, s);
 }
 
 }  // namespace
@@ -43,16 +43,12 @@ int main() {
       const auto lu_n = kernels::make_lu(n);
       kernels::SimulatedKernelEvaluator rs_eval(lu_n,
                                                 sim::make_sandybridge());
-      const auto rs = tuner::run_reference_rs(rs_eval, settings);
+      const auto rs = tuner::random_search(rs_eval, settings);
 
       kernels::SimulatedKernelEvaluator target(lu_n,
                                                sim::make_sandybridge());
-      tuner::BiasedSearchOptions opt;
-      opt.max_evals = settings.nmax;
-      opt.pool_size = settings.pool_size;
-      opt.seed = settings.seed;
       const auto biased =
-          tuner::biased_random_search(target, *model, opt);
+          tuner::biased_random_search(target, *model, settings);
       const auto s = tuner::compare_to_rs(rs, biased);
       t.add_row({std::to_string(n), TextTable::num(s.performance, 2),
                  TextTable::num(s.search, 2),
@@ -71,7 +67,7 @@ int main() {
     const auto sb = reference_rs(lu, sim::make_sandybridge(), sb_settings);
 
     kernels::SimulatedKernelEvaluator rs_eval(lu, sim::make_power7());
-    const auto rs = tuner::run_reference_rs(rs_eval, settings);
+    const auto rs = tuner::random_search(rs_eval, settings);
 
     const auto run_with = [&](const ml::Dataset& data, const char* label,
                               TextTable& t) {
@@ -80,11 +76,8 @@ int main() {
       ml::RandomForest model(fp);
       model.fit(data);
       kernels::SimulatedKernelEvaluator target(lu, sim::make_power7());
-      tuner::BiasedSearchOptions opt;
-      opt.max_evals = settings.nmax;
-      opt.pool_size = settings.pool_size;
-      opt.seed = settings.seed;
-      const auto biased = tuner::biased_random_search(target, model, opt);
+      const auto biased =
+          tuner::biased_random_search(target, model, settings);
       const auto s = tuner::compare_to_rs(rs, biased);
       t.add_row({label, std::to_string(data.num_rows()),
                  TextTable::num(s.performance, 2),

@@ -17,12 +17,12 @@ int main() {
   const auto lu = kernels::make_lu();
   kernels::SimulatedKernelEvaluator wm(lu, sim::make_westmere());
   const auto settings = bench::paper_settings();
-  const auto source = tuner::run_reference_rs(wm, settings);
+  const auto source = tuner::random_search(wm, settings);
 
   kernels::SimulatedKernelEvaluator sb(lu, sim::make_sandybridge());
   std::vector<tuner::ParamConfig> order;
   for (const auto& e : source.entries()) order.push_back(e.config);
-  const auto rs = tuner::replay_search(sb, order, settings.nmax);
+  const auto rs = tuner::replay_search(sb, order, settings);
 
   std::printf("Ablation A2a: RS_b pool size N (LU, Westmere -> "
               "Sandybridge; paper uses N = 10000, 64-tree forest)\n\n");
@@ -33,10 +33,8 @@ int main() {
     TextTable t({"N", "best (s)", "Prf.Imp", "Srh.Imp"});
     for (const std::size_t pool : {100u, 1000u, 10000u, 50000u}) {
       kernels::SimulatedKernelEvaluator target(lu, sim::make_sandybridge());
-      tuner::BiasedSearchOptions opt;
-      opt.max_evals = settings.nmax;
+      tuner::SearchOptions opt = settings;
       opt.pool_size = pool;
-      opt.seed = settings.seed;
       const auto trace = tuner::biased_random_search(target, *model, opt);
       const auto s = tuner::compare_to_rs(rs, trace);
       t.add_row({std::to_string(pool), TextTable::num(trace.best_seconds()),
@@ -59,11 +57,8 @@ int main() {
       const double fit_ms = timer.seconds() * 1e3;
 
       kernels::SimulatedKernelEvaluator target(lu, sim::make_sandybridge());
-      tuner::BiasedSearchOptions opt;
-      opt.max_evals = settings.nmax;
-      opt.pool_size = settings.pool_size;
-      opt.seed = settings.seed;
-      const auto trace = tuner::biased_random_search(target, *model, opt);
+      const auto trace =
+          tuner::biased_random_search(target, *model, settings);
       const auto s = tuner::compare_to_rs(rs, trace);
       t.add_row({std::to_string(trees), TextTable::num(fit_ms, 1),
                  TextTable::num(model->oob_rmse(), 3),

@@ -20,7 +20,7 @@ int main() {
   const auto settings = bench::paper_settings();
 
   kernels::SimulatedKernelEvaluator wm(lu, sim::make_westmere());
-  const auto source = tuner::run_reference_rs(wm, settings);
+  const auto source = tuner::random_search(wm, settings);
   ml::ForestParams fp = settings.forest;
   fp.seed = settings.seed;
   const auto model = tuner::fit_surrogate(source, lu->space(), fp);
@@ -29,79 +29,41 @@ int main() {
               "(LU, Westmere -> Sandybridge, 100-eval budget)\n\n");
   TextTable t({"algorithm", "cold best (s)", "cold t-to-best (s)",
                "warm best (s)", "warm t-to-best (s)"});
-
-  const auto row = [&](const char* name, auto&& runner) {
-    kernels::SimulatedKernelEvaluator cold_eval(lu, sim::make_sandybridge());
-    const auto cold = runner(cold_eval, nullptr);
-    kernels::SimulatedKernelEvaluator warm_eval(lu, sim::make_sandybridge());
-    const auto warm = runner(warm_eval, model.get());
+  const auto add_row = [&](const char* name, const tuner::SearchTrace& cold,
+                           const tuner::SearchTrace& warm) {
     t.add_row({name, TextTable::num(cold.best_seconds()),
                TextTable::num(cold.time_to_best(), 1),
                TextTable::num(warm.best_seconds()),
                TextTable::num(warm.time_to_best(), 1)});
   };
 
-  row("genetic", [&](tuner::Evaluator& e, const ml::Regressor* m) {
-    tuner::GeneticOptions opt;
-    opt.max_evals = settings.nmax;
-    opt.seed = settings.seed;
-    opt.surrogate = m;
-    return tuner::genetic_search(e, opt);
-  });
-  row("annealing", [&](tuner::Evaluator& e, const ml::Regressor* m) {
-    tuner::AnnealingOptions opt;
-    opt.max_evals = settings.nmax;
-    opt.seed = settings.seed;
-    opt.surrogate = m;
-    return tuner::annealing_search(e, opt);
-  });
-  row("pattern", [&](tuner::Evaluator& e, const ml::Regressor* m) {
-    tuner::PatternSearchOptions opt;
-    opt.max_evals = settings.nmax;
-    opt.seed = settings.seed;
-    opt.surrogate = m;
-    return tuner::pattern_search(e, opt);
-  });
-  row("ensemble", [&](tuner::Evaluator& e, const ml::Regressor* m) {
-    tuner::EnsembleOptions opt;
-    opt.max_evals = settings.nmax;
-    opt.seed = settings.seed;
-    opt.surrogate = m;
-    return tuner::ensemble_search(e, opt);
-  });
-  row("nelder-mead", [&](tuner::Evaluator& e, const ml::Regressor* m) {
-    tuner::NelderMeadOptions opt;
-    opt.max_evals = settings.nmax;
-    opt.seed = settings.seed;
-    opt.surrogate = m;
-    return tuner::nelder_mead_search(e, opt);
-  });
-  row("orthogonal", [&](tuner::Evaluator& e, const ml::Regressor* m) {
-    tuner::OrthogonalSearchOptions opt;
-    opt.max_evals = settings.nmax;
-    opt.seed = settings.seed;
-    opt.surrogate = m;
-    return tuner::orthogonal_search(e, opt);
-  });
+  const struct {
+    const char* name;
+    tuner::HeuristicSearch search;
+  } heuristics[] = {
+      {"genetic", tuner::genetic_search},
+      {"annealing", tuner::annealing_search},
+      {"pattern", tuner::pattern_search},
+      {"ensemble", tuner::ensemble_search},
+      {"nelder-mead", tuner::nelder_mead_search},
+      {"orthogonal", tuner::orthogonal_search},
+  };
+  for (const auto& h : heuristics) {
+    kernels::SimulatedKernelEvaluator cold_eval(lu, sim::make_sandybridge());
+    const auto cold = h.search(cold_eval, settings, nullptr);
+    kernels::SimulatedKernelEvaluator warm_eval(lu, sim::make_sandybridge());
+    const auto warm = h.search(warm_eval, settings, model.get());
+    add_row(h.name, cold, warm);
+  }
 
   // The adaptive-refit variant ("warm" column uses the source data, the
   // "cold" column runs the same machinery with no source trace).
-  {
-    tuner::AdaptiveSearchOptions opt;
-    opt.max_evals = settings.nmax;
-    opt.pool_size = settings.pool_size;
-    opt.seed = settings.seed;
-    opt.forest = fp;
-    kernels::SimulatedKernelEvaluator cold_eval(lu, sim::make_sandybridge());
-    const auto cold = tuner::adaptive_biased_search(
-        cold_eval, tuner::SearchTrace{}, opt);
-    kernels::SimulatedKernelEvaluator warm_eval(lu, sim::make_sandybridge());
-    const auto warm = tuner::adaptive_biased_search(warm_eval, source, opt);
-    t.add_row({"adaptive RS_b", TextTable::num(cold.best_seconds()),
-               TextTable::num(cold.time_to_best(), 1),
-               TextTable::num(warm.best_seconds()),
-               TextTable::num(warm.time_to_best(), 1)});
-  }
+  kernels::SimulatedKernelEvaluator cold_eval(lu, sim::make_sandybridge());
+  const auto cold =
+      tuner::adaptive_biased_search(cold_eval, tuner::SearchTrace{}, settings);
+  kernels::SimulatedKernelEvaluator warm_eval(lu, sim::make_sandybridge());
+  const auto warm = tuner::adaptive_biased_search(warm_eval, source, settings);
+  add_row("adaptive RS_b", cold, warm);
 
   t.print(std::cout);
   return 0;

@@ -50,23 +50,20 @@ int main() {
     for (const auto& [src, dst] : pairs) {
       kernels::SimulatedKernelEvaluator source_eval(
           prob, sim::machine_by_name(src));
-      const auto source = tuner::run_reference_rs(source_eval, settings);
+      const auto source = tuner::random_search(source_eval, settings);
       kernels::SimulatedKernelEvaluator rs_eval(prob,
                                                 sim::machine_by_name(dst));
       std::vector<tuner::ParamConfig> order;
       for (const auto& e : source.entries()) order.push_back(e.config);
-      const auto rs = tuner::replay_search(rs_eval, order, settings.nmax);
+      const auto rs = tuner::replay_search(rs_eval, order, settings);
       const auto data = source.to_dataset(prob->space());
 
       for (auto& [name, model] : surrogates(settings.seed)) {
         model->fit(data);
         kernels::SimulatedKernelEvaluator target(
             prob, sim::machine_by_name(dst));
-        tuner::BiasedSearchOptions opt;
-        opt.max_evals = settings.nmax;
-        opt.pool_size = settings.pool_size;
-        opt.seed = settings.seed;
-        const auto trace = tuner::biased_random_search(target, *model, opt);
+        const auto trace =
+            tuner::biased_random_search(target, *model, settings);
         const auto s = tuner::compare_to_rs(rs, trace);
         t.add_row({problem, src + "->" + dst, name,
                    TextTable::num(trace.best_seconds()),

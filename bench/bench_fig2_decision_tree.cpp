@@ -18,7 +18,7 @@ int main() {
   const auto mm = kernels::make_mm();
   kernels::SimulatedKernelEvaluator sb(mm, sim::make_sandybridge());
 
-  tuner::RandomSearchOptions rs_opt;
+  tuner::SearchOptions rs_opt;
   rs_opt.max_evals = 100;
   rs_opt.seed = 20160401;
   const auto trace = tuner::random_search(sb, rs_opt);

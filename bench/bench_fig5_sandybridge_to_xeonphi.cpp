@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   auto phi = bench::paper_evaluator("MM", "XeonPhi", true);
   const double def =
       phi->evaluate(phi->space().default_config()).seconds;
-  auto rs = tuner::run_reference_rs(*phi, bench::paper_settings());
+  auto rs = tuner::random_search(*phi, bench::paper_settings());
   std::printf("\nMM on Xeon Phi: default (untransformed) %.3f s vs best "
               "of 100 random variants %.3f s -> default %s\n",
               def, rs.best_seconds(),

@@ -52,7 +52,7 @@ std::vector<tuner::ParamConfig> feasible_configs(
 ml::Dataset lu_training_data() {
   auto lu = kernels::make_lu();
   kernels::SimulatedKernelEvaluator wm(lu, sim::make_westmere());
-  tuner::RandomSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = 100;
   opt.seed = 1;
   return tuner::random_search(wm, opt).to_dataset(lu->space());
@@ -346,7 +346,7 @@ void BM_GuardDisabledPrunedSearch(benchmark::State& state) {
   kernels::SimulatedKernelEvaluator wm(lu, sim::make_westmere());
   ml::RandomForest model;
   model.fit(lu_training_data());
-  tuner::PrunedSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = 50;
   opt.pool_size = 1000;
   std::uint64_t seed = 1;
@@ -364,7 +364,7 @@ void BM_GuardDisabledBiasedSearch(benchmark::State& state) {
   kernels::SimulatedKernelEvaluator wm(lu, sim::make_westmere());
   ml::RandomForest model;
   model.fit(lu_training_data());
-  tuner::BiasedSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = 50;
   opt.pool_size = 1000;
   std::uint64_t seed = 1;
@@ -397,7 +397,7 @@ void BM_RandomSearch(benchmark::State& state) {
   // throughput to compare pre/post-instrumentation builds on.
   auto lu = kernels::make_lu();
   kernels::SimulatedKernelEvaluator wm(lu, sim::make_westmere());
-  tuner::RandomSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = 50;
   std::uint64_t seed = 1;
   for (auto _ : state) {
@@ -460,7 +460,7 @@ void BM_ParallelRandomSearch(benchmark::State& state) {
   tuner::ParallelOptions popt;
   popt.threads = static_cast<std::size_t>(state.range(0));
   tuner::ParallelEvaluator par(slow, popt);
-  tuner::RandomSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = 64;
   std::uint64_t seed = 1;
   for (auto _ : state) {
@@ -478,7 +478,7 @@ tuner::ExperimentJob latency_cell(const std::string& problem,
   tuner::ExperimentJob job;
   job.label = problem + " " + source + "->" + target;
   job.settings = bench::paper_settings();
-  job.settings.nmax = 30;
+  job.settings.max_evals = 30;
   job.settings.pool_size = 1000;
   const auto make = [problem](const std::string& machine) {
     auto o = bench::paper_stack_options(problem, machine);

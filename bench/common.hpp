@@ -50,9 +50,7 @@ inline tuner::EvaluatorPtr paper_evaluator(const std::string& problem,
 }
 
 inline tuner::ExperimentSettings paper_settings() {
-  tuner::ExperimentSettings s;  // nmax=100, N=10000, delta=20%
-  s.seed = 20160401;
-  return s;
+  return {};  // n_max=100, N=10000, delta=20%, CRN seed 20160401
 }
 
 /// One (problem, source, target) cell as a deferred job for

@@ -6,8 +6,8 @@
 
 #include "apps/raytracer.hpp"
 #include "sim/machine.hpp"
-#include "tuner/experiment.hpp"
 #include "tuner/heuristics.hpp"
+#include "tuner/random_search.hpp"
 #include "tuner/transfer.hpp"
 
 int main() {
@@ -21,19 +21,16 @@ int main() {
               sandybridge.space().cardinality());
 
   // Cold ensemble search on Sandybridge.
-  tuner::EnsembleOptions cold;
-  cold.max_evals = 100;
-  cold.seed = 7;
-  const auto cold_trace = tuner::ensemble_search(sandybridge, cold);
+  tuner::SearchOptions opt;
+  opt.seed = 7;
+  const auto cold_trace = tuner::ensemble_search(sandybridge, opt);
 
-  // Warm ensemble: fit the surrogate on Westmere RS data, seed with it.
-  tuner::ExperimentSettings settings;
-  auto source = tuner::run_reference_rs(westmere, settings);
+  // Warm ensemble: fit the surrogate on Westmere RS data (the paper
+  // protocol's defaults), seed with it.
+  const auto source = tuner::random_search(westmere, tuner::SearchOptions{});
   const auto surrogate = tuner::fit_surrogate(source, westmere.space());
-
-  tuner::EnsembleOptions warm = cold;
-  warm.surrogate = surrogate.get();
-  const auto warm_trace = tuner::ensemble_search(sandybridge, warm);
+  const auto warm_trace =
+      tuner::ensemble_search(sandybridge, opt, surrogate.get());
 
   std::printf("default flags (-O3 only):  %.3f s\n",
               sandybridge.evaluate(sandybridge.space().default_config())

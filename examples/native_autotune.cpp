@@ -21,7 +21,7 @@ int main() {
   auto problem = orio::parse_annotation(orio::example_mm_annotation(192));
   kernels::NativeKernelEvaluator host(problem, /*reps=*/1);
 
-  tuner::PatternSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = 24;
   opt.seed = 11;
   const auto trace = tuner::pattern_search(host, opt);

@@ -419,9 +419,13 @@ void print_failure_summary(const tuner::SearchTrace& trace,
 }
 
 /// The one composition point for run configuration: every command that
-/// builds evaluator stacks or search settings starts from this validated
-/// builder instead of hand-assembling the legacy option structs.
+/// builds evaluator stacks or search options starts from this validated
+/// builder.
 apps::TuningConfig tuning_config_from(const Args& a) {
+  tuner::GuardOptions guard;
+  guard.enabled = a.guard;
+  guard.floor = a.guard_floor;
+  guard.window = a.guard_window;
   apps::TuningConfig cfg;
   cfg.problem(a.problem)
       .machines(a.source, a.target)
@@ -429,9 +433,7 @@ apps::TuningConfig tuning_config_from(const Args& a) {
       .seed(a.seed)
       .delta_percent(a.delta)
       .observe(true)
-      .guard_enabled(a.guard)
-      .guard_floor(a.guard_floor)
-      .guard_window(a.guard_window);
+      .guard(std::move(guard));
   return cfg;
 }
 
@@ -460,6 +462,17 @@ int cmd_list() {
   return 0;
 }
 
+/// The exit-3 line of a search stopped by a shutdown request, with a
+/// resume hint when a checkpoint was written.
+void print_interrupted(const tuner::SearchTrace& trace,
+                       const std::string& checkpoint) {
+  std::printf("interrupted by shutdown request after %zu evaluations",
+              trace.size());
+  if (!checkpoint.empty())
+    std::printf("; resume with --resume %s", checkpoint.c_str());
+  std::printf("\n");
+}
+
 int cmd_collect(const Args& a) {
   // Decorator chain (wired by EvaluatorStack): backend -> faults ->
   // observer -> retry/timeout -> parallel. The observer sits inside the
@@ -478,8 +491,7 @@ int cmd_collect(const Args& a) {
       .cancel(shutdown_token());
   apps::EvaluatorStack eval(cfg.stack_options());
 
-  tuner::RandomSearchOptions opt;
-  static_cast<tuner::SearchCommon&>(opt) = cfg.search_common();
+  tuner::SearchOptions opt = cfg.search_options();
 
   tuner::SearchCheckpoint resumed;
   if (!a.resume.empty()) {
@@ -515,11 +527,7 @@ int cmd_collect(const Args& a) {
                 fs.attempts, fs.overhead_seconds);
   }
   if (trace.stop_reason() == tuner::kCancelledStopReason) {
-    std::printf("interrupted by shutdown request after %zu evaluations",
-                trace.size());
-    if (!a.checkpoint.empty())
-      std::printf("; resume with --resume %s", a.checkpoint.c_str());
-    std::printf("\n");
+    print_interrupted(trace, a.checkpoint);
     return 3;
   }
   return 0;
@@ -536,26 +544,28 @@ int cmd_transfer(const Args& a) {
       .eval_deadline_seconds(a.timeout);
   const auto source = cfg.make_stack(apps::StackRole::Source);
   const auto target = cfg.make_stack(apps::StackRole::Target);
-  const tuner::ExperimentSettings s = cfg.experiment_settings();
 
   if (!a.from.empty()) {
-    // Reuse a previously collected T_a: fit the surrogate and run the
-    // guided searches directly.
+    // Reuse a previously collected T_a: fit the surrogate and run RS_b
+    // exactly as the experiment's biased phase would.
     const auto ta = tuner::load_trace_csv(a.from, source->space());
     std::printf("loaded T_a: %zu rows from %s\n", ta.size(),
                 a.from.c_str());
-    const auto model = tuner::fit_surrogate(ta, source->space());
-    tuner::BiasedSearchOptions opt;
-    opt.max_evals = a.nmax;
-    opt.seed = a.seed;
-    opt.guard = cfg.guard_options();
+    tuner::SearchOptions opt = cfg.search_options();
+    opt.forest.seed = opt.seed;
+    const auto model = tuner::fit_surrogate(ta, source->space(), opt.forest);
     opt.guard.refit_source = &ta;
+    opt.guard.refit_forest = opt.forest;
     opt.guard.on_transition = [](const tuner::GuardTransition& tr) {
       std::printf("guard: RS_b %s->%s @%zu (%s, trust=%.3f)\n",
                   to_string(tr.from), to_string(tr.to), tr.evals,
                   tr.reason.c_str(), tr.trust);
     };
     const auto biased = tuner::biased_random_search(*target, *model, opt);
+    if (biased.stop_reason() == tuner::kCancelledStopReason) {
+      print_interrupted(biased, "");
+      return 3;
+    }
     std::printf("RS_b on %s: best %.4f s (at %.1f s of search)\n",
                 a.target.c_str(), biased.best_seconds(),
                 biased.time_to_best());
@@ -564,7 +574,8 @@ int cmd_transfer(const Args& a) {
     return 0;
   }
 
-  const auto r = tuner::run_transfer_experiment(*source, *target, s);
+  const auto r = tuner::run_transfer_experiment(*source, *target,
+                                                cfg.experiment_settings());
   if (r.interrupted) {
     std::printf("interrupted by shutdown request (transfer runs are not "
                 "journaled; use the experiment command for resumable "

@@ -32,8 +32,8 @@ int main() {
   auto sandybridge = cfg.make_stack();
   const tuner::ParamSpace& space = sandybridge->space();
 
-  tuner::TuningSession session(*sandybridge,
-                               cfg.session_options("quickstart"));
+  tuner::TuningSession session(*sandybridge, cfg.search_options(),
+                               /*warm_model=*/nullptr, "quickstart");
 
   // The external-measurement path: pull two candidates out, measure them
   // "elsewhere" (here: the same simulator), and report the results back.

@@ -21,18 +21,15 @@
 #include "sim/machine.hpp"
 #include "tuner/evaluator.hpp"
 #include "tuner/faults.hpp"
-#include "tuner/guard.hpp"
 #include "tuner/parallel.hpp"
 #include "tuner/resilience.hpp"
 
 namespace portatune::apps {
 
-/// Declarative description of one evaluator decorator stack.
-///
-/// Legacy note: drivers should prefer building this through
-/// apps::TuningConfig::stack_options() (apps/tuning_config.hpp), which
-/// validates the whole run configuration and keeps the stack consistent
-/// with the search options produced from the same builder.
+/// Declarative description of one evaluator decorator stack. Drivers
+/// usually produce it with apps::TuningConfig::stack_options()
+/// (apps/tuning_config.hpp), which keeps the stack consistent with the
+/// search options produced from the same builder.
 struct EvaluatorStackOptions {
   // Backend (see registry.hpp for the accepted names).
   std::string problem = "LU";
@@ -59,13 +56,6 @@ struct EvaluatorStackOptions {
   /// into the parallel layer (see ParallelOptions).
   CancellationToken cancel{};
   double eval_deadline_seconds = 0.0;
-
-  /// Surrogate-trust guard settings to thread into the searches run
-  /// against this stack (tuner/guard.hpp). Not a decorator layer — the
-  /// guard lives inside RS_p / RS_b — but carried here so drivers
-  /// configure the whole run (stack + search behavior) in one place;
-  /// read it back via guard_options().
-  tuner::GuardOptions guard{};
 };
 
 /// Owns a fully wired decorator stack and forwards the Evaluator interface
@@ -102,13 +92,7 @@ class EvaluatorStack final : public tuner::Evaluator {
   }
   tuner::Evaluator& backend() noexcept { return *backend_; }
 
-  /// Guard settings carried by this stack (see EvaluatorStackOptions).
-  const tuner::GuardOptions& guard_options() const noexcept {
-    return guard_;
-  }
-
  private:
-  tuner::GuardOptions guard_;
   tuner::EvaluatorPtr backend_;
   std::unique_ptr<tuner::FaultInjectingEvaluator> faults_;
   std::unique_ptr<obs::ObservedEvaluator> observed_;

@@ -57,18 +57,6 @@ TuningConfig& TuningConfig::guard(tuner::GuardOptions g) {
   guard_ = std::move(g);
   return *this;
 }
-TuningConfig& TuningConfig::guard_enabled(bool on) {
-  guard_.enabled = on;
-  return *this;
-}
-TuningConfig& TuningConfig::guard_floor(double floor) {
-  guard_.floor = floor;
-  return *this;
-}
-TuningConfig& TuningConfig::guard_window(std::size_t window) {
-  guard_.window = window;
-  return *this;
-}
 TuningConfig& TuningConfig::cancel(CancellationToken token) {
   cancel_ = std::move(token);
   return *this;
@@ -134,57 +122,22 @@ const TuningConfig& TuningConfig::validate() const {
   return *this;
 }
 
-tuner::SearchCommon TuningConfig::search_common() const {
+tuner::SearchOptions TuningConfig::search_options() const {
   validate();
-  tuner::SearchCommon c;
-  c.max_evals = max_evals_;
-  c.seed = seed_;
-  c.failure_budget = failure_budget_;
-  c.guard = guard_;
-  c.cancel = cancel_;
-  return c;
-}
-
-tuner::GuardOptions TuningConfig::guard_options() const {
-  validate();
-  return guard_;
-}
-
-tuner::ExperimentSettings TuningConfig::experiment_settings() const {
-  validate();
-  tuner::ExperimentSettings s;
-  s.nmax = max_evals_;
-  s.pool_size = pool_size_;
-  s.delta_percent = delta_percent_;
-  s.seed = seed_;
-  s.forest = forest_;
-  s.failure_budget = failure_budget_;
-  s.guard = guard_;
-  s.cancel = cancel_;
-  return s;
-}
-
-tuner::ParallelOptions TuningConfig::parallel_options() const {
-  validate();
-  tuner::ParallelOptions p;
-  p.threads = eval_threads_;
-  p.batch_width = batch_width_;
-  p.cancel = cancel_;
-  p.eval_deadline_seconds = eval_deadline_;
-  return p;
-}
-
-tuner::SessionOptions TuningConfig::session_options(std::string id) const {
-  validate();
-  tuner::SessionOptions o;
+  tuner::SearchOptions o;
   o.max_evals = max_evals_;
   o.seed = seed_;
+  o.pool_size = pool_size_;
+  o.delta_percent = delta_percent_;
+  o.forest = forest_;
   o.failure_budget = failure_budget_;
   o.guard = guard_;
   o.cancel = cancel_;
-  o.id = std::move(id);
-  o.pool_size = pool_size_;
   return o;
+}
+
+tuner::ExperimentSettings TuningConfig::experiment_settings() const {
+  return {search_options()};
 }
 
 EvaluatorStackOptions TuningConfig::stack_options(StackRole role) const {
@@ -211,7 +164,6 @@ EvaluatorStackOptions TuningConfig::stack_options(StackRole role) const {
   so.batch_width = batch_width_;
   so.cancel = cancel_;
   so.eval_deadline_seconds = eval_deadline_;
-  so.guard = guard_;
   return so;
 }
 

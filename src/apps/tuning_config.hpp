@@ -1,16 +1,11 @@
 // TuningConfig: one validated builder for a whole tuning run.
 //
-// Five option structs accumulated over the project's life — SearchCommon,
-// ExperimentSettings, EvaluatorStackOptions, GuardOptions,
-// ParallelOptions — and every driver wired them together by hand, each
-// repeating the same defaults and the same cross-struct invariants (the
-// CRN seed must be shared, the cancel token must reach both the stack and
-// the search, the guard's forest must match the experiment's). This
-// builder is the single composition point: drivers describe the run once,
-// fluently, and produce whichever legacy struct each subsystem still
-// consumes. The legacy structs remain as plain aggregates (designated
-// initialization at existing call sites keeps compiling) but are
-// construction targets now, not the API — new code goes through here.
+// A run needs a search configuration (tuner::SearchOptions, or
+// tuner::ExperimentSettings for a transfer experiment) and one or two
+// evaluator stacks (EvaluatorStackOptions), and they share invariants:
+// the CRN seed, the cancel token that must reach both the stack and the
+// search, the guard's forest matching the experiment's. Drivers describe
+// the run here once, fluently, and produce both halves from it.
 //
 //     auto cfg = apps::TuningConfig{}
 //                    .problem("LU").machines("Westmere", "Sandybridge")
@@ -29,8 +24,7 @@
 
 #include "apps/evaluator_factory.hpp"
 #include "tuner/experiment.hpp"
-#include "tuner/parallel.hpp"
-#include "tuner/session.hpp"
+#include "tuner/search_options.hpp"
 
 namespace portatune::apps {
 
@@ -60,10 +54,6 @@ class TuningConfig {
   TuningConfig& forest(ml::ForestParams fp);
   TuningConfig& failure_budget(tuner::FailureBudget fb);
   TuningConfig& guard(tuner::GuardOptions g);
-  /// Shorthand for the CLI's --guard/--guard-floor/--guard-window trio.
-  TuningConfig& guard_enabled(bool on);
-  TuningConfig& guard_floor(double floor);
-  TuningConfig& guard_window(std::size_t window);
   TuningConfig& cancel(CancellationToken token);
 
   // -- Evaluator stack layers ------------------------------------------
@@ -106,12 +96,11 @@ class TuningConfig {
   /// offending field named. Every producer below calls this first.
   const TuningConfig& validate() const;
 
-  // -- Producers: the legacy structs, assembled consistently ------------
-  tuner::SearchCommon search_common() const;
-  tuner::GuardOptions guard_options() const;
+  // -- Producers ---------------------------------------------------------
+  /// Options for any search, or a TuningSession.
+  tuner::SearchOptions search_options() const;
+  /// search_options() with empty experiment hooks.
   tuner::ExperimentSettings experiment_settings() const;
-  tuner::ParallelOptions parallel_options() const;
-  tuner::SessionOptions session_options(std::string id) const;
   EvaluatorStackOptions stack_options(StackRole role = StackRole::Single)
       const;
   std::unique_ptr<EvaluatorStack> make_stack(

@@ -422,10 +422,10 @@ std::unique_ptr<SessionHandle> TuningService::build_session(
   }
   h->last_touched_ = obs::mono_now();
 
-  tuner::SessionOptions opts = cfg.session_options(id);
-  opts.warm_model = h->warm_model_.get();
+  tuner::SearchOptions opts = cfg.search_options();
   if (h->resume_snapshot_) opts.resume = &*h->resume_snapshot_;
-  h->session_ = std::make_unique<tuner::TuningSession>(*h->cached_, opts);
+  h->session_ = std::make_unique<tuner::TuningSession>(
+      *h->cached_, opts, h->warm_model_.get(), id);
   h->resume_snapshot_.reset();  // replayed; the session owns state now
 
   h->persist_meta_locked();  // handle not yet visible: no lock needed

@@ -25,34 +25,43 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    QueuedTask task;
-    std::size_t depth;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
-      depth = queue_.size();
-    }
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (stop_ && queue_.empty()) return;
+    QueuedTask task = std::move(queue_.front());
+    queue_.pop();
+    const std::size_t depth = queue_.size();
+    lock.unlock();
     ThreadPoolObserver* const observer = thread_pool_observer();
-    if (observer == nullptr) {
-      task.fn();
-      continue;
+    std::chrono::steady_clock::time_point start;
+    if (observer != nullptr) {
+      start = std::chrono::steady_clock::now();
+      // A zero enqueue stamp means the observer was installed after this
+      // task was queued; report an unknown (zero) wait rather than a
+      // bogus epoch-relative one.
+      const double wait =
+          task.enqueued.time_since_epoch().count() != 0
+              ? std::chrono::duration<double>(start - task.enqueued).count()
+              : 0.0;
+      observer->on_start(wait, depth);
     }
-    const auto start = std::chrono::steady_clock::now();
-    // A zero enqueue stamp means the observer was installed after this
-    // task was queued; report an unknown (zero) wait rather than a bogus
-    // epoch-relative one.
-    const double wait =
-        task.enqueued.time_since_epoch().count() != 0
-            ? std::chrono::duration<double>(start - task.enqueued).count()
-            : 0.0;
-    observer->on_start(wait, depth);
-    task.fn();
-    observer->on_finish(std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count());
+    std::exception_ptr error;
+    try {
+      task.fn();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // Account the task before completing its future: once the submitter
+    // has waited for it, the worker never touches the observer again, so
+    // the submitter may uninstall and destroy it.
+    if (observer != nullptr)
+      observer->on_finish(std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
+    if (error)
+      task.done.set_exception(error);
+    else
+      task.done.set_value();
   }
 }
 

@@ -82,12 +82,13 @@ class ThreadPool {
 
   /// Enqueue a task; returns a future for its completion. The task runs
   /// under the submitter's SpanContext and ambient CancellationToken, so
-  /// both causality and cancellation survive the thread hop.
+  /// both causality and cancellation survive the thread hop. The future
+  /// becomes ready only after the observer has seen the task finish, so a
+  /// caller that waited for all its tasks may uninstall the observer.
   template <typename F>
   std::future<void> submit(F&& f) {
-    auto task = std::make_shared<std::packaged_task<void()>>(
-        std::forward<F>(f));
-    std::future<void> fut = task->get_future();
+    std::promise<void> done;
+    std::future<void> fut = done.get_future();
     const SpanContext ctx = current_span_context();
     const CancellationToken cancel = current_cancellation_token();
     ThreadPoolObserver* const observer = thread_pool_observer();
@@ -95,11 +96,12 @@ class ThreadPool {
     {
       std::lock_guard lock(mutex_);
       queue_.push(QueuedTask{
-          [task, ctx, cancel] {
+          [fn = std::forward<F>(f), ctx, cancel]() mutable {
             SpanScope scope(ctx);
             CancellationScope cancel_scope(cancel);
-            (*task)();
+            fn();
           },
+          std::move(done),
           observer != nullptr ? std::chrono::steady_clock::now()
                               : std::chrono::steady_clock::time_point{}});
       depth = queue_.size();
@@ -123,6 +125,7 @@ class ThreadPool {
   /// dormant path never reads the clock).
   struct QueuedTask {
     std::function<void()> fn;
+    std::promise<void> done;  ///< completes the future
     std::chrono::steady_clock::time_point enqueued{};
   };
 

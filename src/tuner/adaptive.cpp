@@ -11,7 +11,7 @@ namespace portatune::tuner {
 
 SearchTrace adaptive_biased_search(Evaluator& target,
                                    const SearchTrace& source,
-                                   const AdaptiveSearchOptions& opt) {
+                                   const SearchOptions& opt) {
   PT_REQUIRE(opt.refit_interval > 0, "refit interval must be positive");
   PT_REQUIRE(opt.target_weight > 0, "target weight must be positive");
   SearchTrace trace("RS_b_adaptive", target.problem_name(),
@@ -27,10 +27,8 @@ SearchTrace adaptive_biased_search(Evaluator& target,
   ml::RandomForest model(fp);
   std::size_t refits = 0;
   const auto rerank = [&] {
-    const bool keep_source = opt.forget_source_after == 0 ||
-                             trace.size() < opt.forget_source_after;
-    const auto data = hybrid_dataset(keep_source ? &source : nullptr, trace,
-                                     space, opt.target_weight);
+    const auto data =
+        hybrid_dataset(&source, trace, space, opt.target_weight);
     if (data.empty()) {
       // Nothing to learn from yet: keep pool order (uniform random).
       pool.rerank(nullptr);

@@ -11,30 +11,18 @@
 // a from-scratch model-based search on the target.
 #pragma once
 
-#include "ml/forest.hpp"
 #include "tuner/evaluator.hpp"
-#include "tuner/resilience.hpp"
 #include "tuner/search_options.hpp"
 #include "tuner/trace.hpp"
 
 namespace portatune::tuner {
 
-struct AdaptiveSearchOptions : SearchCommon {
-  std::size_t pool_size = 10000;
-  std::size_t refit_interval = 10;  ///< target evals between refits
-  /// Each target row enters the training set this many times (cheap
-  /// importance weighting against the 100 source rows).
-  std::size_t target_weight = 3;
-  /// Drop the source rows entirely after this many target evaluations
-  /// (0 = keep forever).
-  std::size_t forget_source_after = 0;
-  ml::ForestParams forest{};
-};
-
-/// Biased search with periodic refits on accumulated target data.
-/// `source` may be empty (pure online model-based search).
+/// Biased search with periodic refits on accumulated target data: reads
+/// max_evals, seed, pool_size, forest, refit_interval, target_weight,
+/// failure_budget and cancel. `source` may be empty (pure online
+/// model-based search).
 SearchTrace adaptive_biased_search(Evaluator& target,
                                    const SearchTrace& source,
-                                   const AdaptiveSearchOptions& opt);
+                                   const SearchOptions& opt);
 
 }  // namespace portatune::tuner

@@ -28,16 +28,6 @@ void require_same_space(const ParamSpace& a, const ParamSpace& b) {
 
 }  // namespace
 
-SearchTrace run_reference_rs(Evaluator& eval,
-                             const ExperimentSettings& settings) {
-  RandomSearchOptions rs_opt;
-  rs_opt.max_evals = settings.nmax;
-  rs_opt.seed = settings.seed;
-  rs_opt.failure_budget = settings.failure_budget;
-  rs_opt.cancel = settings.cancel;
-  return random_search(eval, rs_opt);
-}
-
 TransferExperimentResult run_transfer_experiment(
     Evaluator& source, Evaluator& target,
     const ExperimentSettings& settings) {
@@ -49,7 +39,7 @@ TransferExperimentResult run_transfer_experiment(
       {{"problem", source.problem_name()},
        {"source", source.machine_name()},
        {"target", target.machine_name()},
-       {"nmax", settings.nmax}});
+       {"nmax", settings.max_evals}});
   const auto phase = [&](const char* name) {
     return obs::ScopedTimer(std::string("phase.") + name, "experiment");
   };
@@ -84,23 +74,10 @@ TransferExperimentResult run_transfer_experiment(
     if (settings.hooks.phase_done) settings.hooks.phase_done(name, slot);
   };
 
-  // 1. RS on the source machine -> T_a. This is the long phase, so it is
-  // additionally checkpointed mid-flight through the rs_* hooks.
-  std::optional<SearchCheckpoint> rs_snapshot;
-  run_phase("source_rs", out.source_rs, [&] {
-    RandomSearchOptions rs_opt;
-    rs_opt.max_evals = settings.nmax;
-    rs_opt.seed = settings.seed;
-    rs_opt.failure_budget = settings.failure_budget;
-    rs_opt.cancel = settings.cancel;
-    rs_opt.checkpoint_every = settings.hooks.rs_checkpoint_every;
-    rs_opt.on_checkpoint = settings.hooks.rs_checkpoint;
-    if (settings.hooks.rs_resume) {
-      rs_snapshot = settings.hooks.rs_resume();
-      if (rs_snapshot) rs_opt.resume = &*rs_snapshot;
-    }
-    return random_search(source, rs_opt);
-  });
+  // 1. RS on the source machine -> T_a. This is the long phase, so it
+  // alone reads the checkpoint and resume settings.
+  run_phase("source_rs", out.source_rs,
+            [&] { return random_search(source, settings); });
   if (out.interrupted) return out;
   PT_REQUIRE(!out.source_rs.empty(), "source RS produced no evaluations");
 
@@ -109,8 +86,7 @@ TransferExperimentResult run_transfer_experiment(
     std::vector<ParamConfig> order;
     order.reserve(out.source_rs.size());
     for (const auto& e : out.source_rs.entries()) order.push_back(e.config);
-    return replay_search(target, order, settings.nmax, "RS",
-                         settings.failure_budget, settings.cancel);
+    return replay_search(target, order, settings);
   });
   if (out.interrupted) return out;
 
@@ -145,37 +121,26 @@ TransferExperimentResult run_transfer_experiment(
   };
 
   run_phase("pruned", out.pruned, [&] {
-    PrunedSearchOptions p_opt;
-    p_opt.max_evals = settings.nmax;
-    p_opt.pool_size = settings.pool_size;
-    p_opt.delta_percent = settings.delta_percent;
-    p_opt.seed = settings.seed;
-    p_opt.failure_budget = settings.failure_budget;
+    SearchOptions p_opt = settings;
     p_opt.guard = guard_for("RS_p");
-    p_opt.cancel = settings.cancel;
     return pruned_random_search(target, *model, p_opt);
   });
 
   run_phase("biased", out.biased, [&] {
-    BiasedSearchOptions b_opt;
-    b_opt.max_evals = settings.nmax;
-    b_opt.pool_size = settings.pool_size;
-    b_opt.seed = settings.seed;
-    b_opt.failure_budget = settings.failure_budget;
+    SearchOptions b_opt = settings;
     b_opt.guard = guard_for("RS_b");
-    b_opt.cancel = settings.cancel;
     return biased_random_search(target, *model, b_opt);
   });
 
-  // 5. Model-free controls, restricted to T_a's configurations.
+  // 5. Model-free controls, restricted to T_a's configurations: no
+  // evaluation budget beyond T_a itself.
+  SearchOptions mf_opt = settings;
+  mf_opt.max_evals = SIZE_MAX;
   run_phase("pruned_mf", out.pruned_mf, [&] {
-    return model_free_pruned(target, out.source_rs, settings.delta_percent,
-                             SIZE_MAX, settings.failure_budget,
-                             settings.cancel);
+    return model_free_pruned(target, out.source_rs, mf_opt);
   });
   run_phase("biased_mf", out.biased_mf, [&] {
-    return model_free_biased(target, out.source_rs, SIZE_MAX,
-                             settings.failure_budget, settings.cancel);
+    return model_free_biased(target, out.source_rs, mf_opt);
   });
   if (out.interrupted) return out;
 

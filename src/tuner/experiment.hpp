@@ -17,14 +17,12 @@
 #include <span>
 #include <string>
 
-#include "ml/forest.hpp"
 #include "obs/metrics.hpp"
-#include "support/cancellation.hpp"
 #include "tuner/evaluator.hpp"
-#include "tuner/guard.hpp"
 #include "tuner/metrics.hpp"
 #include "tuner/random_search.hpp"
 #include "tuner/resilience.hpp"
+#include "tuner/search_options.hpp"
 #include "tuner/trace.hpp"
 
 namespace portatune::tuner {
@@ -44,35 +42,22 @@ struct ExperimentHooks {
   /// cancelled, or skipped). The hook owns persistence.
   std::function<void(const std::string& phase, const SearchTrace& trace)>
       phase_done;
-  /// Periodic checkpointing of the long source RS phase (0 disables);
-  /// forwarded to RandomSearchOptions::{checkpoint_every, on_checkpoint}.
-  std::size_t rs_checkpoint_every = 0;
-  std::function<void(const SearchCheckpoint&)> rs_checkpoint;
-  /// Consulted once when the source_rs phase starts (and was not restored
-  /// whole): a returned snapshot resumes the partial search.
-  std::function<std::optional<SearchCheckpoint>()> rs_resume;
 };
 
-struct ExperimentSettings {
-  std::size_t nmax = 100;        ///< evaluation budget per search
-  std::size_t pool_size = 10000; ///< N
-  double delta_percent = 20.0;   ///< RS_p cutoff quantile
-  std::uint64_t seed = 20160401; ///< shared CRN seed
-  ml::ForestParams forest{};     ///< surrogate hyperparameters
-  /// Per-search bound on failed evaluations (see resilience.hpp); a
-  /// persistently failing machine aborts its search with a diagnostic
-  /// instead of draining the configuration pool.
-  FailureBudget failure_budget{};
-  /// Surrogate-trust guard applied to RS_p / RS_b (tuner/guard.hpp).
-  /// The engine wires refit_source to T_a itself, refits with the cell's
-  /// forest hyperparameters, and captures the guard timelines on the
-  /// result's guard_log; refit_source, refit_forest, and on_transition
-  /// set here are overridden.
-  GuardOptions guard{};
-  /// Cooperative cancellation, threaded into every phase's search. Once
-  /// cancelled the experiment stops at the next phase/window boundary
-  /// with result.interrupted = true (see TransferExperimentResult).
-  CancellationToken cancel{};
+/// One experiment cell's options: every search reads its SearchOptions
+/// fields (max_evals is n_max for each search but the model-free
+/// controls, which re-evaluate all of T_a's qualifying configurations).
+///   * checkpoint_every, on_checkpoint and resume apply to the long
+///     source RS phase only, so it can be checkpointed mid-flight.
+///   * forest, seeded with the CRN seed, fits the surrogate M_a.
+///   * guard applies to RS_p / RS_b; the engine wires refit_source to
+///     T_a, refits with the cell's forest, and captures the guard
+///     timelines on the result's guard_log (refit_source, refit_forest
+///     and on_transition set here are overridden).
+///   * cancel is threaded into every phase's search. Once cancelled the
+///     experiment stops at the next phase/window boundary with
+///     result.interrupted = true (see TransferExperimentResult).
+struct ExperimentSettings : SearchOptions {
   /// Crash-safety hooks (empty = plain in-memory run).
   ExperimentHooks hooks{};
 };
@@ -157,9 +142,5 @@ struct ExperimentJob {
 /// `threads == 1` runs the jobs inline on the calling thread.
 std::vector<TransferExperimentResult> run_transfer_experiments(
     std::span<const ExperimentJob> jobs, std::size_t threads = 0);
-
-/// Run only RS on one machine (used to gather T_a once and reuse it).
-SearchTrace run_reference_rs(Evaluator& eval,
-                             const ExperimentSettings& settings);
 
 }  // namespace portatune::tuner

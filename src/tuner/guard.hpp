@@ -54,10 +54,9 @@ struct GuardTransition {
                            ///< "starvation" | "refit" | "recovered"
 };
 
-/// Guard configuration, threaded through SearchCommon so every search
-/// option struct (and ExperimentSettings / EvaluatorStackOptions) carries
-/// it. Disabled by default: the guarded searches are bit-identical to
-/// their unguarded selves until `enabled` is set.
+/// Guard configuration, carried by SearchOptions::guard and read by RS_p
+/// and RS_b only. Disabled by default: the guarded searches are
+/// bit-identical to their unguarded selves until `enabled` is set.
 struct GuardOptions {
   bool enabled = false;
   /// Sliding window of (predicted, observed) pairs the trust statistic is

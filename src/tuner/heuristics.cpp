@@ -15,11 +15,24 @@ namespace portatune::tuner {
 
 namespace {
 
+// Search hyperparameters. Nothing tunes them yet, so they are constants
+// rather than options.
+constexpr std::size_t kSeedPool = 2000;  ///< pool a surrogate ranks for starts
+constexpr double kCrossoverRate = 0.8;   ///< GA
+constexpr double kMutationRate = 0.1;    ///< GA, per gene
+constexpr std::size_t kTournament = 3;   ///< GA
+constexpr double kInitialTemp = 1.0;     ///< SA, relative to the first run time
+constexpr double kCooling = 0.95;        ///< SA, geometric per step
+constexpr double kExploration = 1.4;     ///< ensemble UCB constant (OpenTuner)
+constexpr double kReflection = 1.0;      ///< NM
+constexpr double kExpansion = 2.0;       ///< NM
+constexpr double kContraction = 0.5;     ///< NM
+constexpr double kShrink = 0.5;          ///< NM
+
 /// Draw `count` starting configurations: either the surrogate's best
 /// predictions over a random pool, or plain uniform draws.
 std::vector<ParamConfig> seeded_starts(const ParamSpace& space,
                                        const ml::Regressor* surrogate,
-                                       std::size_t pool_size,
                                        std::size_t count, Rng& rng) {
   std::vector<ParamConfig> out;
   out.reserve(count);
@@ -28,68 +41,74 @@ std::vector<ParamConfig> seeded_starts(const ParamSpace& space,
       out.push_back(space.random_config(rng));
     return out;
   }
-  const RankedPool pool = rank_pool(surrogate, space, rng(), pool_size);
+  const RankedPool pool = rank_pool(surrogate, space, rng(), kSeedPool);
   for (std::size_t i = 0; i < pool.order.size() && out.size() < count; ++i)
     out.push_back(pool.configs[pool.order[i]]);
   return out;
 }
 
-/// Evaluate with dedup; returns false when the evaluation budget or the
-/// failure budget is exhausted, or the evaluation failed.
-class BudgetedEvaluator {
+/// Runs each proposal through the search loop as a one-draw window (the
+/// next proposal depends on this one's result). Results are remembered
+/// by configuration: a repeated proposal returns the known value without
+/// spending budget, and a failed one is not retried.
+class Proposals {
  public:
-  BudgetedEvaluator(Evaluator& eval, SearchTrace& trace,
-                    std::size_t max_evals, const FailureBudget& budget = {})
-      : eval_(eval), trace_(trace), max_evals_(max_evals), budget_(budget) {}
+  Proposals(Evaluator& eval, SearchTrace& trace, const SearchOptions& opt)
+      : space_(eval.space()),
+        trace_(trace),
+        max_evals_(opt.max_evals),
+        loop_(eval, trace, opt.failure_budget, opt.cancel, 1) {}
 
+  /// The budget is spent, or the loop stopped the search (failure budget
+  /// or cancellation; either leaves a stop reason on the trace).
   bool exhausted() const {
-    return trace_.size() >= max_evals_ || budget_.exhausted();
+    return trace_.size() >= max_evals_ || !trace_.stop_reason().empty();
   }
 
-  /// Returns the run time, or nullopt on failure/duplicate/budget end.
+  /// Returns the run time, or nullopt on failure/budget end.
   std::optional<double> operator()(const ParamConfig& c) {
     if (exhausted()) return std::nullopt;
-    const auto h = eval_.space().config_hash(c);
-    if (const auto it = cache_.find(h); it != cache_.end())
-      return it->second;  // duplicate: return known value, no budget spent
-    const EvalResult r = eval_.evaluate(c);
-    trace_.note_result(r);
-    if (!r.ok) {
-      if (budget_.note(r)) trace_.set_stop_reason(budget_.reason());
-      cache_.emplace(h, std::nullopt);
-      return std::nullopt;
-    }
-    budget_.note(r);
-    trace_.record(c, r.seconds, trace_.size());
-    cache_.emplace(h, r.seconds);
-    return r.seconds;
+    const auto [known, fresh] = seen_.try_emplace(space_.config_hash(c));
+    if (!fresh) return known->second;
+    // Draw index = trace position at record time.
+    const std::size_t index = trace_.size();
+    bool drawn = false;
+    FnSource one([&](Draw& out) {
+      if (drawn) return false;
+      drawn = true;
+      out = {c, index};
+      return true;
+    });
+    loop_.run(one, index + 1);
+    if (trace_.size() > index) known->second = trace_.entry(index).seconds;
+    return known->second;
   }
 
  private:
-  Evaluator& eval_;
+  const ParamSpace& space_;
   SearchTrace& trace_;
   std::size_t max_evals_;
-  FailureBudgetTracker budget_;
-  std::unordered_map<std::uint64_t, std::optional<double>> cache_;
+  SearchLoop loop_;
+  std::unordered_map<std::uint64_t, std::optional<double>> seen_;
 };
 
 }  // namespace
 
-SearchTrace genetic_search(Evaluator& eval, const GeneticOptions& opt) {
+SearchTrace genetic_search(Evaluator& eval, const SearchOptions& opt,
+                           const ml::Regressor* surrogate) {
   PT_REQUIRE(opt.population >= 2, "population too small");
   SearchTrace trace("GA", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
   const ParamSpace& space = eval.space();
   Rng rng(opt.seed);
-  BudgetedEvaluator run(eval, trace, opt.max_evals, opt.failure_budget);
+  Proposals run(eval, trace, opt);
 
   struct Member {
     ParamConfig config;
     double fitness;  // run time; lower is better
   };
   std::vector<Member> pop;
-  for (auto& c : seeded_starts(space, opt.surrogate, opt.seed_pool,
-                               opt.population, rng)) {
+  for (auto& c : seeded_starts(space, surrogate, opt.population, rng)) {
     if (auto y = run(c)) pop.push_back({std::move(c), *y});
     if (run.exhausted()) return trace;
   }
@@ -97,7 +116,7 @@ SearchTrace genetic_search(Evaluator& eval, const GeneticOptions& opt) {
 
   const auto tournament = [&]() -> const Member& {
     const Member* best = &pop[rng.below(pop.size())];
-    for (std::size_t i = 1; i < opt.tournament; ++i) {
+    for (std::size_t i = 1; i < kTournament; ++i) {
       const Member& challenger = pop[rng.below(pop.size())];
       if (challenger.fitness < best->fitness) best = &challenger;
     }
@@ -110,12 +129,12 @@ SearchTrace genetic_search(Evaluator& eval, const GeneticOptions& opt) {
     const Member& a = tournament();
     const Member& b = tournament();
     ParamConfig child = a.config;
-    if (rng.uniform() < opt.crossover_rate) {
+    if (rng.uniform() < kCrossoverRate) {
       for (std::size_t g = 0; g < child.size(); ++g)
         if (rng.uniform() < 0.5) child[g] = b.config[g];
     }
     for (std::size_t g = 0; g < child.size(); ++g)
-      if (rng.uniform() < opt.mutation_rate)
+      if (rng.uniform() < kMutationRate)
         child[g] = static_cast<int>(
             rng.below(space.param(g).values.size()));
     const auto y = run(child);
@@ -129,14 +148,15 @@ SearchTrace genetic_search(Evaluator& eval, const GeneticOptions& opt) {
   return trace;
 }
 
-SearchTrace annealing_search(Evaluator& eval, const AnnealingOptions& opt) {
+SearchTrace annealing_search(Evaluator& eval, const SearchOptions& opt,
+                             const ml::Regressor* surrogate) {
   SearchTrace trace("SA", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
   const ParamSpace& space = eval.space();
   Rng rng(opt.seed);
-  BudgetedEvaluator run(eval, trace, opt.max_evals, opt.failure_budget);
+  Proposals run(eval, trace, opt);
 
-  auto starts = seeded_starts(space, opt.surrogate, opt.seed_pool, 1, rng);
+  auto starts = seeded_starts(space, surrogate, 1, rng);
   ParamConfig current = starts.front();
   std::optional<double> current_y = run(current);
   // If the start fails, retry with fresh random points.
@@ -146,7 +166,7 @@ SearchTrace annealing_search(Evaluator& eval, const AnnealingOptions& opt) {
   }
   if (!current_y) return trace;
 
-  double temp = opt.initial_temp * *current_y;
+  double temp = kInitialTemp * *current_y;
   // Proposal cap: cached duplicates cost no budget, so an exhausted local
   // neighborhood at low temperature would otherwise loop forever.
   const std::size_t max_steps = opt.max_evals * 200;
@@ -166,7 +186,7 @@ SearchTrace annealing_search(Evaluator& eval, const AnnealingOptions& opt) {
     }
     const auto y = run(next);
     if (!y) {
-      temp *= opt.cooling;
+      temp *= kCooling;
       continue;
     }
     const double delta = *y - *current_y;
@@ -175,19 +195,20 @@ SearchTrace annealing_search(Evaluator& eval, const AnnealingOptions& opt) {
       current = std::move(next);
       current_y = *y;
     }
-    temp *= opt.cooling;
+    temp *= kCooling;
   }
   return trace;
 }
 
-SearchTrace pattern_search(Evaluator& eval, const PatternSearchOptions& opt) {
+SearchTrace pattern_search(Evaluator& eval, const SearchOptions& opt,
+                           const ml::Regressor* surrogate) {
   SearchTrace trace("PS", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
   const ParamSpace& space = eval.space();
   Rng rng(opt.seed);
-  BudgetedEvaluator run(eval, trace, opt.max_evals, opt.failure_budget);
+  Proposals run(eval, trace, opt);
 
-  auto starts = seeded_starts(space, opt.surrogate, opt.seed_pool, 4, rng);
+  auto starts = seeded_starts(space, surrogate, 4, rng);
   std::size_t start_idx = 0;
 
   const std::size_t max_restarts = opt.max_evals * 50;
@@ -222,12 +243,13 @@ SearchTrace pattern_search(Evaluator& eval, const PatternSearchOptions& opt) {
   return trace;
 }
 
-SearchTrace ensemble_search(Evaluator& eval, const EnsembleOptions& opt) {
+SearchTrace ensemble_search(Evaluator& eval, const SearchOptions& opt,
+                            const ml::Regressor* surrogate) {
   SearchTrace trace("Ensemble", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
   const ParamSpace& space = eval.space();
   Rng rng(opt.seed);
-  BudgetedEvaluator run(eval, trace, opt.max_evals, opt.failure_budget);
+  Proposals run(eval, trace, opt);
 
   // Shared incumbent across techniques.
   ParamConfig best_config;
@@ -249,7 +271,7 @@ SearchTrace ensemble_search(Evaluator& eval, const EnsembleOptions& opt) {
 
   // Seed the incumbent (surrogate-guided when available).
   for (auto& c :
-       seeded_starts(space, opt.surrogate, 2000, 3, rng)) {
+       seeded_starts(space, surrogate, 3, rng)) {
     if (auto y = run(c)) consider(c, *y);
     if (run.exhausted()) return trace;
   }
@@ -265,7 +287,7 @@ SearchTrace ensemble_search(Evaluator& eval, const EnsembleOptions& opt) {
       const double mean = plays[t] > 0 ? wins[t] / plays[t] : 1.0;
       const double bonus =
           plays[t] > 0
-              ? opt.exploration *
+              ? kExploration *
                     std::sqrt(std::log(static_cast<double>(round)) /
                               plays[t])
               : 10.0;
@@ -315,14 +337,14 @@ ParamConfig round_to_config(const ParamSpace& space,
 
 }  // namespace
 
-SearchTrace nelder_mead_search(Evaluator& eval,
-                               const NelderMeadOptions& opt) {
+SearchTrace nelder_mead_search(Evaluator& eval, const SearchOptions& opt,
+                               const ml::Regressor* surrogate) {
   SearchTrace trace("NM", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
   const ParamSpace& space = eval.space();
   const std::size_t dim = space.num_params();
   Rng rng(opt.seed);
-  BudgetedEvaluator run(eval, trace, opt.max_evals, opt.failure_budget);
+  Proposals run(eval, trace, opt);
 
   using Point = std::vector<double>;
   struct Vertex {
@@ -341,7 +363,7 @@ SearchTrace nelder_mead_search(Evaluator& eval,
     return x;
   };
 
-  auto starts = seeded_starts(space, opt.surrogate, opt.seed_pool, 1, rng);
+  auto starts = seeded_starts(space, surrogate, 1, rng);
   const std::size_t max_restarts = opt.max_evals * 20;
   for (std::size_t restart = 0;
        restart < max_restarts && !run.exhausted(); ++restart) {
@@ -386,11 +408,11 @@ SearchTrace nelder_mead_search(Evaluator& eval,
         return x;
       };
 
-      const Point reflected = blend(opt.reflection);
+      const Point reflected = blend(kReflection);
       const auto yr = eval_point(reflected);
       if (!yr) break;  // budget or persistent failure
       if (*yr < simplex.front().y) {
-        const Point expanded = blend(opt.expansion);
+        const Point expanded = blend(kExpansion);
         const auto ye = eval_point(expanded);
         if (ye && *ye < *yr)
           worst = {expanded, *ye};
@@ -399,7 +421,7 @@ SearchTrace nelder_mead_search(Evaluator& eval,
       } else if (*yr < simplex[simplex.size() - 2].y) {
         worst = {reflected, *yr};
       } else {
-        const Point contracted = blend(-opt.contraction);
+        const Point contracted = blend(-kContraction);
         const auto yc = eval_point(contracted);
         if (yc && *yc < worst.y) {
           worst = {contracted, *yc};
@@ -409,7 +431,7 @@ SearchTrace nelder_mead_search(Evaluator& eval,
             for (std::size_t p = 0; p < dim; ++p)
               simplex[v].x[p] =
                   simplex[0].x[p] +
-                  opt.shrink * (simplex[v].x[p] - simplex[0].x[p]);
+                  kShrink * (simplex[v].x[p] - simplex[0].x[p]);
             if (const auto y = eval_point(simplex[v].x))
               simplex[v].y = *y;
           }
@@ -431,15 +453,15 @@ SearchTrace nelder_mead_search(Evaluator& eval,
   return trace;
 }
 
-SearchTrace orthogonal_search(Evaluator& eval,
-                              const OrthogonalSearchOptions& opt) {
+SearchTrace orthogonal_search(Evaluator& eval, const SearchOptions& opt,
+                              const ml::Regressor* surrogate) {
   SearchTrace trace("OS", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
   const ParamSpace& space = eval.space();
   Rng rng(opt.seed);
-  BudgetedEvaluator run(eval, trace, opt.max_evals, opt.failure_budget);
+  Proposals run(eval, trace, opt);
 
-  auto starts = seeded_starts(space, opt.surrogate, opt.seed_pool, 2, rng);
+  auto starts = seeded_starts(space, surrogate, 2, rng);
   std::size_t start_idx = 0;
   const std::size_t max_restarts = opt.max_evals * 20;
   for (std::size_t restart = 0;

@@ -20,9 +20,8 @@ namespace {
 /// Evaluate an explicit order under `label` (replay, RS_pf, RS_bf); each
 /// draw records its own index.
 SearchTrace evaluate_in_order(Evaluator& eval, std::string label,
-                              std::vector<Draw> order, std::size_t max_evals,
-                              const FailureBudget& budget,
-                              CancellationToken cancel) {
+                              std::vector<Draw> order,
+                              const SearchOptions& opt) {
   SearchTrace trace(std::move(label), eval.problem_name(),
                     eval.machine_name());
   SearchSpanGuard span(trace);
@@ -33,14 +32,14 @@ SearchTrace evaluate_in_order(Evaluator& eval, std::string label,
     out.watermark = next;
     return true;
   });
-  SearchLoop(eval, trace, budget, std::move(cancel), window_width(eval))
-      .run(source, max_evals);
+  SearchLoop(eval, trace, opt.failure_budget, opt.cancel, window_width(eval))
+      .run(source, opt.max_evals);
   return trace;
 }
 
 }  // namespace
 
-SearchTrace random_search(Evaluator& eval, const RandomSearchOptions& opt) {
+SearchTrace random_search(Evaluator& eval, const SearchOptions& opt) {
   SearchTrace trace("RS", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
   StreamSource source(eval.space(), opt.seed);
@@ -58,20 +57,18 @@ SearchTrace random_search(Evaluator& eval, const RandomSearchOptions& opt) {
 
 SearchTrace replay_search(Evaluator& eval,
                           std::span<const ParamConfig> order,
-                          std::size_t max_evals,
-                          std::string algorithm_label,
-                          const FailureBudget& fb,
-                          CancellationToken cancel) {
+                          const SearchOptions& opt,
+                          std::string algorithm_label) {
   std::vector<Draw> draws;
   draws.reserve(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) draws.push_back({order[i], i});
   return evaluate_in_order(eval, std::move(algorithm_label), std::move(draws),
-                           max_evals, fb, std::move(cancel));
+                           opt);
 }
 
 SearchTrace pruned_random_search(Evaluator& eval,
                                  const ml::Regressor& model,
-                                 const PrunedSearchOptions& opt) {
+                                 const SearchOptions& opt) {
   PT_REQUIRE(model.is_fitted(), "RS_p requires a fitted surrogate");
   PT_REQUIRE(opt.delta_percent > 0.0 && opt.delta_percent < 100.0,
              "delta must lie strictly between 0 and 100");
@@ -172,7 +169,7 @@ SearchTrace pruned_random_search(Evaluator& eval,
 
 SearchTrace biased_random_search(Evaluator& eval,
                                  const ml::Regressor& model,
-                                 const BiasedSearchOptions& opt) {
+                                 const SearchOptions& opt) {
   PT_REQUIRE(model.is_fitted(), "RS_b requires a fitted surrogate");
   SearchTrace trace("RS_b", eval.problem_name(), eval.machine_name());
   SearchSpanGuard span(trace);
@@ -227,26 +224,21 @@ SearchTrace biased_random_search(Evaluator& eval,
 }
 
 SearchTrace model_free_pruned(Evaluator& eval, const SearchTrace& source,
-                              double delta_percent, std::size_t max_evals,
-                              const FailureBudget& fb,
-                              CancellationToken cancel) {
+                              const SearchOptions& opt) {
   PT_REQUIRE(!source.empty(), "RS_pf requires source data");
   std::vector<double> ys;
   ys.reserve(source.size());
   for (const auto& e : source.entries()) ys.push_back(e.seconds);
-  const double cutoff = quantile(ys, delta_percent / 100.0);
+  const double cutoff = quantile(ys, opt.delta_percent / 100.0);
   // Pruned by the source run time; survivors keep source order.
   std::vector<Draw> order;
   for (const auto& e : source.entries())
     if (e.seconds < cutoff) order.push_back({e.config, e.draw_index});
-  return evaluate_in_order(eval, "RS_pf", std::move(order), max_evals, fb,
-                           std::move(cancel));
+  return evaluate_in_order(eval, "RS_pf", std::move(order), opt);
 }
 
 SearchTrace model_free_biased(Evaluator& eval, const SearchTrace& source,
-                              std::size_t max_evals,
-                              const FailureBudget& fb,
-                              CancellationToken cancel) {
+                              const SearchOptions& opt) {
   PT_REQUIRE(!source.empty(), "RS_bf requires source data");
   std::vector<double> ys;
   ys.reserve(source.size());
@@ -255,8 +247,7 @@ SearchTrace model_free_biased(Evaluator& eval, const SearchTrace& source,
   order.reserve(source.size());
   for (const std::size_t i : argsort(ys))
     order.push_back({source.entry(i).config, source.entry(i).draw_index});
-  return evaluate_in_order(eval, "RS_bf", std::move(order), max_evals, fb,
-                           std::move(cancel));
+  return evaluate_in_order(eval, "RS_bf", std::move(order), opt);
 }
 
 }  // namespace portatune::tuner

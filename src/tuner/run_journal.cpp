@@ -278,7 +278,7 @@ std::vector<TransferExperimentResult> run_transfer_experiments_journaled(
     // the ETA, never correctness.
     board = std::make_unique<RunStatusBoard>(
         std::move(board_labels),
-        kNumExperimentPhases * jobs.front().settings.nmax);
+        kNumExperimentPhases * jobs.front().settings.max_evals);
     for (std::size_t i = 0; i < journal.size(); ++i)
       if (journal.state(i) == CellState::Done)
         board->set_state(i, CellState::Done);
@@ -355,19 +355,21 @@ std::vector<TransferExperimentResult> run_transfer_experiments_journaled(
       if (bp != nullptr)
         bp->phase_finished(i, trace.size(), trace.best_seconds());
     };
-    settings.hooks.rs_checkpoint_every = opt.rs_checkpoint_every;
-    settings.hooks.rs_checkpoint = [&journal, &space, i,
-                                    bp](const SearchCheckpoint& snap) {
+    settings.checkpoint_every = opt.rs_checkpoint_every;
+    settings.on_checkpoint = [&journal, &space, i,
+                              bp](const SearchCheckpoint& snap) {
       save_checkpoint_csv(journal.partial_rs_path(i), snap, space);
       if (bp != nullptr)
         bp->rs_progress(i, snap.trace.size(), snap.trace.best_seconds());
     };
-    settings.hooks.rs_resume = [&journal, &space,
-                                i]() -> std::optional<SearchCheckpoint> {
-      const std::string path = journal.partial_rs_path(i);
-      if (!file_exists(path)) return std::nullopt;
-      return load_checkpoint_csv(path, space);
-    };
+    // A partial source RS resumes only when the phase itself is not
+    // restored whole from its file.
+    std::optional<SearchCheckpoint> rs_snapshot;
+    if (!file_exists(journal.phase_path(i, "source_rs")) &&
+        file_exists(journal.partial_rs_path(i))) {
+      rs_snapshot = load_checkpoint_csv(journal.partial_rs_path(i), space);
+      settings.resume = &*rs_snapshot;
+    }
 
     out[i] = run_transfer_experiment(*source, *target, settings);
     if (out[i].interrupted) {

@@ -1,10 +1,11 @@
-// The one evaluation-window loop every draw-order search runs on.
+// The one evaluation-window loop every search runs on.
 //
 // The paper's searches differ only in which configuration comes next:
 // RS walks a seeded without-replacement stream, RS_p (Algorithm 1) the
 // same stream behind a surrogate filter, RS_b (Algorithm 2) a
-// surrogate-ranked candidate pool, and RS_pf / RS_bf the source trace in
-// a fixed order. A DrawSource supplies that next configuration;
+// surrogate-ranked candidate pool, RS_pf / RS_bf the source trace in a
+// fixed order, and the heuristics one proposal at a time. A DrawSource
+// supplies that next configuration;
 // SearchLoop owns every rule that must never drift between them:
 //
 //   * windows of `width` draws per evaluate_batch() call, each under a
@@ -16,9 +17,9 @@
 //   * the consumed-draws watermark and the checkpoint callback.
 //
 // Internal to the tuner: random_search, the model-free controls,
-// adaptive_biased_search and TuningSession are thin configurations of
-// this loop, and rank_pool() is the single sample -> predict -> argsort
-// routine behind every surrogate-ranked pool.
+// adaptive_biased_search, the six heuristics and TuningSession are thin
+// configurations of this loop, and rank_pool() is the single
+// sample -> predict -> argsort routine behind every surrogate-ranked pool.
 #pragma once
 
 #include <functional>
@@ -28,9 +29,9 @@
 #include "support/cancellation.hpp"
 #include "tuner/evaluator.hpp"
 #include "tuner/guard.hpp"
-#include "tuner/random_search.hpp"
 #include "tuner/resilience.hpp"
 #include "tuner/sampler.hpp"
+#include "tuner/search_options.hpp"
 #include "tuner/trace.hpp"
 
 namespace portatune::tuner {
@@ -79,8 +80,9 @@ class StreamSource final : public DrawSource {
 };
 
 /// Any `bool(Draw&)` callable as a source: RS_p's surrogate-filtered
-/// stream (its counters and guard live in the search function) and the
-/// explicit orders of the replay, RS_pf and RS_bf.
+/// stream (its counters and guard live in the search function), the
+/// explicit orders of the replay, RS_pf and RS_bf, and a heuristic's
+/// one-draw proposals.
 template <typename F>
 class FnSource final : public DrawSource {
  public:

@@ -10,23 +10,26 @@
 
 namespace portatune::tuner {
 
-TuningSession::TuningSession(Evaluator& eval, SessionOptions opt)
+TuningSession::TuningSession(Evaluator& eval, SearchOptions opt,
+                             const ml::Regressor* warm_model, std::string id)
     : eval_(eval),
       opt_(std::move(opt)),
-      trace_(opt_.warm_model != nullptr ? "RS_b" : "RS", eval.problem_name(),
+      warm_model_(warm_model),
+      id_(std::move(id)),
+      trace_(warm_model_ != nullptr ? "RS_b" : "RS", eval.problem_name(),
              eval.machine_name()),
       loop_(eval, trace_, opt_.failure_budget, opt_.cancel,
             window_width(eval)) {
   opened_mono_ = obs::mono_now();
-  if (opt_.warm_model != nullptr) {
-    PT_REQUIRE(opt_.warm_model->is_fitted(),
+  if (warm_model_ != nullptr) {
+    PT_REQUIRE(warm_model_->is_fitted(),
                "warm session requires a fitted surrogate");
     obs::ScopedTimer rank_span("session.rank", "service",
-                               {{"id", opt_.id},
+                               {{"id", id_},
                                 {"pool_size",
                                  static_cast<std::uint64_t>(opt_.pool_size)}});
     RankedPool pool =
-        rank_pool(opt_.warm_model, eval_.space(), opt_.seed, opt_.pool_size);
+        rank_pool(warm_model_, eval_.space(), opt_.seed, opt_.pool_size);
     // Ranked; no trust monitor reads a session's predictions, and a
     // daemon holds many pools.
     pool.predicted = std::vector<double>();
@@ -47,7 +50,7 @@ TuningSession::TuningSession(Evaluator& eval, SessionOptions opt)
   if (!obs::enabled(obs::Severity::Info)) return;
   obs::emit(obs::make_instant(
       obs::Severity::Info, "session.open", "service",
-      {{"id", opt_.id},
+      {{"id", id_},
        {"kind", "tuning"},
        {"problem", eval_.problem_name()},
        {"machine", eval_.machine_name()},
@@ -66,7 +69,7 @@ TuningSession::~TuningSession() {
 
 void TuningSession::require_open(const char* op) const {
   PT_REQUIRE(!closed_,
-             std::string(op) + " on closed session '" + opt_.id + "'");
+             std::string(op) + " on closed session '" + id_ + "'");
 }
 
 SessionStepStats TuningSession::step(std::size_t n) {
@@ -118,7 +121,7 @@ void TuningSession::report(const ParamConfig& config, double seconds) {
                          [&](const auto& p) { return p.first == hash; });
   PT_REQUIRE(it != pending_.end(),
              "reported configuration was not suggested by session '" +
-                 opt_.id + "'");
+                 id_ + "'");
   const std::size_t draw_idx = it->second;
   pending_.erase(it);
   const EvalResult r = EvalResult::success(seconds);
@@ -139,7 +142,7 @@ void TuningSession::close() {
   obs::MetricsRegistry::current().counter("service.sessions_closed").add(1);
   if (!obs::enabled(obs::Severity::Info)) return;
   std::vector<obs::Field> fields{
-      {"id", opt_.id},
+      {"id", id_},
       {"kind", "tuning"},
       {"evals", static_cast<std::uint64_t>(trace_.size())},
       {"failures",

@@ -16,9 +16,10 @@
 // sessions rank a candidate pool with a surrogate handed in at open (the
 // store's nearest-machine forest) and evaluate in ascending predicted
 // order, exactly like RS_b. Both are configurations of the search loop
-// (tuner/search_loop.hpp) the free-function searches run on: step() runs
-// that loop for a bounded number of evaluations, suggest() pulls draws
-// from the same source without evaluating them.
+// (tuner/search_loop.hpp) the free-function searches run on, and take the
+// same SearchOptions: step() runs that loop for a bounded number of
+// evaluations, suggest() pulls draws from the same source without
+// evaluating them.
 //
 // Lifecycle observability: every session emits a `session.open` instant
 // at construction and a `session.closed` span (duration = session
@@ -38,22 +39,6 @@
 
 namespace portatune::tuner {
 
-struct SessionOptions : SearchCommon {
-  /// Session label used in events and diagnostics.
-  std::string id = "session";
-  /// Warm start: rank `pool_size` candidates with this model and
-  /// evaluate in ascending predicted order (RS_b, Algorithm 2). The
-  /// model must outlive the session. nullptr = cold: plain RS draw
-  /// order.
-  const ml::Regressor* warm_model = nullptr;
-  /// Candidate pool for the warm ranking (ignored when cold).
-  std::size_t pool_size = 2000;
-  /// Resume an interrupted session from its checkpoint. The same seed —
-  /// and, for warm sessions, a model refit from the same stored trace —
-  /// must be supplied, so the replayed draw/rank order matches exactly.
-  const SearchCheckpoint* resume = nullptr;
-};
-
 /// What one step() advanced.
 struct SessionStepStats {
   std::size_t evaluated = 0;   ///< new trace entries
@@ -67,15 +52,23 @@ struct SessionStepStats {
 
 class TuningSession {
  public:
-  /// The evaluator must outlive the session.
-  TuningSession(Evaluator& eval, SessionOptions opt);
+  /// Reads max_evals, seed, failure_budget, cancel and resume from
+  /// `opt`, and pool_size when warm. A `warm_model` ranks `pool_size`
+  /// candidates, evaluated in ascending predicted order (RS_b,
+  /// Algorithm 2); nullptr is cold: plain RS draw order. Resuming a warm
+  /// session needs a model refit from the same stored trace, so the
+  /// replayed rank order matches. `id` labels events and diagnostics.
+  /// The evaluator and the model must outlive the session.
+  TuningSession(Evaluator& eval, SearchOptions opt,
+                const ml::Regressor* warm_model = nullptr,
+                std::string id = "session");
   ~TuningSession();
 
   TuningSession(const TuningSession&) = delete;
   TuningSession& operator=(const TuningSession&) = delete;
 
-  const std::string& id() const noexcept { return opt_.id; }
-  bool warm() const noexcept { return opt_.warm_model != nullptr; }
+  const std::string& id() const noexcept { return id_; }
+  bool warm() const noexcept { return warm_model_ != nullptr; }
   bool closed() const noexcept { return closed_; }
 
   /// Evaluate up to `n` further configurations through the session's
@@ -98,7 +91,7 @@ class TuningSession {
 
   /// Snapshot for persistence: the trace, the number of draws / pool
   /// picks consumed, and the outstanding suggestions — exactly what
-  /// SessionOptions::resume replays.
+  /// SearchOptions::resume replays.
   SearchCheckpoint checkpoint() const;
 
   /// Close the session: emits the lifetime span, after which
@@ -115,7 +108,9 @@ class TuningSession {
   void require_open(const char* op) const;
 
   Evaluator& eval_;
-  SessionOptions opt_;
+  SearchOptions opt_;
+  const ml::Regressor* warm_model_;
+  std::string id_;
   SearchTrace trace_;
   /// Failure budget, window width and consumed-draws watermark (draws
   /// when cold, ranked-pool picks when warm).

@@ -68,7 +68,7 @@ TEST(EvaluatorFactory, StackMatchesBareBackendResults) {
 }
 
 TEST(EvaluatorFactory, SearchOverStackIsThreadCountInvariant) {
-  tuner::RandomSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = 25;
   opt.seed = 9;
 

@@ -1,6 +1,6 @@
 // TuningConfig: the single composition point for a run. Validation must
 // reject impossible configurations loudly, and every producer must
-// assemble its legacy struct exactly as the hand-wired drivers used to.
+// assemble its options exactly as the hand-wired drivers used to.
 #include "apps/tuning_config.hpp"
 
 #include <gtest/gtest.h>
@@ -15,8 +15,8 @@ TEST(TuningConfigTest, DefaultsValidateAndMatchThePaperProtocol) {
   const TuningConfig cfg;
   EXPECT_NO_THROW(cfg.validate());
   const tuner::ExperimentSettings s = cfg.experiment_settings();
-  // Sec. IV-D: nmax=100, N=10000, delta=20%, shared CRN seed.
-  EXPECT_EQ(s.nmax, 100u);
+  // Sec. IV-D: n_max=100, N=10000, delta=20%, shared CRN seed.
+  EXPECT_EQ(s.max_evals, 100u);
   EXPECT_EQ(s.pool_size, 10000u);
   EXPECT_DOUBLE_EQ(s.delta_percent, 20.0);
   EXPECT_EQ(s.seed, 20160401u);
@@ -67,28 +67,22 @@ TEST(TuningConfigTest, ProducersAssembleTheLegacyStructsConsistently) {
                                .failure_budget(budget)
                                .eval_threads(4);
 
-  const tuner::SearchCommon common = cfg.search_common();
-  EXPECT_EQ(common.max_evals, 64u);
-  EXPECT_EQ(common.seed, 99u);
-  EXPECT_EQ(common.failure_budget.max_consecutive, 5u);
-  EXPECT_EQ(common.failure_budget.max_total, 17u);
+  const tuner::SearchOptions o = cfg.search_options();
+  EXPECT_EQ(o.max_evals, 64u);
+  EXPECT_EQ(o.seed, 99u);
+  EXPECT_EQ(o.pool_size, 512u);
+  EXPECT_DOUBLE_EQ(o.delta_percent, 15.0);
+  EXPECT_EQ(o.failure_budget.max_consecutive, 5u);
+  EXPECT_EQ(o.failure_budget.max_total, 17u);
+  EXPECT_EQ(o.resume, nullptr);
 
   const tuner::ExperimentSettings s = cfg.experiment_settings();
-  EXPECT_EQ(s.nmax, 64u);
+  EXPECT_EQ(s.max_evals, 64u);
   EXPECT_EQ(s.pool_size, 512u);
   EXPECT_DOUBLE_EQ(s.delta_percent, 15.0);
   EXPECT_EQ(s.seed, 99u);
 
-  const tuner::ParallelOptions p = cfg.parallel_options();
-  EXPECT_EQ(p.threads, 4u);
-
-  const tuner::SessionOptions so = cfg.session_options("svc-1");
-  EXPECT_EQ(so.id, "svc-1");
-  EXPECT_EQ(so.max_evals, 64u);
-  EXPECT_EQ(so.seed, 99u);
-  EXPECT_EQ(so.pool_size, 512u);
-  EXPECT_EQ(so.warm_model, nullptr);
-  EXPECT_EQ(so.resume, nullptr);
+  EXPECT_EQ(cfg.stack_options().eval_threads, 4u);
 }
 
 TEST(TuningConfigTest, StackRolesPickTheRightMachineAndLabel) {
@@ -133,8 +127,7 @@ TEST(TuningConfigTest, MakeStackMatchesHandAssembledOptions) {
   hand.machine = "Power7";
   auto legacy = make_evaluator_stack(hand);
 
-  tuner::RandomSearchOptions opt;
-  static_cast<tuner::SearchCommon&>(opt) = cfg.search_common();
+  const tuner::SearchOptions opt = cfg.search_options();
   const tuner::SearchTrace a = tuner::random_search(*built, opt);
   const tuner::SearchTrace b = tuner::random_search(*legacy, opt);
   ASSERT_EQ(a.size(), b.size());

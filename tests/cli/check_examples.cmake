@@ -1,6 +1,6 @@
-# ctest script: the example programs the README points newcomers at must
-# run to completion. Each one runs from a fresh scratch working directory
-# of its own (anything it writes lands there) and must exit 0.
+# ctest script: the example and bench programs it is given must run to
+# completion. Each one runs from a fresh scratch working directory of its
+# own (anything it writes lands there) and must exit 0.
 #
 # Inputs: -DEXAMPLES=<path;path;...> -DWORK_DIR=<scratch directory>
 

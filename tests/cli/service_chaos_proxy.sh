@@ -33,6 +33,15 @@ cd "$WORK"
 SOCK=$PWD/pt.sock
 DATA=$PWD/service_data
 
+# Whatever happens, leave no daemon or loadgen behind: each pid is
+# cleared once it has been waited for, so only live children are killed.
+daemon=
+loadgen=
+cleanup() {
+  for pid in $loadgen $daemon; do kill -KILL "$pid" 2>/dev/null || true; done
+}
+trap cleanup EXIT
+
 call() { "$CLI" call --socket "$SOCK" --request "$1"; }
 
 wait_for_socket() {
@@ -61,18 +70,41 @@ serve serve1.log --lease-seconds 2
   --chaos-seed 7 --out loadgen_out >loadgen.log 2>&1 &
 loadgen=$!
 
-sleep 1.2
-# The run must still be in flight, or the restart would prove nothing.
+# Restart once the run has made progress: the first step is served
+# (`stats` on the daemon's own socket; the loadgen's counter cross-check
+# leaves stats out). The run must still be in flight, or the restart
+# would prove nothing.
+stepped=
+for _ in $(seq 1 600); do
+  call '{"op":"stats"}' >stats-restart.json 2>/dev/null || true
+  if python3 - <<'EOF'
+import json, sys
+try:
+    s = json.load(open("stats-restart.json"))
+except ValueError:
+    sys.exit(1)
+sys.exit(0 if s["metrics"]["counters"].get("server.op.step.count", 0) >= 1
+         else 1)
+EOF
+  then
+    stepped=1
+    break
+  fi
+  sleep 0.05
+done
+test -n "$stepped"
 kill -0 "$loadgen"
 kill -TERM "$daemon"
 rc=0
 wait "$daemon" || rc=$?
+daemon=
 test "$rc" -eq 3
 test -s "$DATA/protocol_state.json"
 
 serve serve2.log --lease-seconds 2
 rc=0
 wait "$loadgen" || rc=$?
+loadgen=
 cat loadgen.log
 test "$rc" -eq 0
 grep -q '^PASS' loadgen.log           # exact counter cross-check held
@@ -109,6 +141,7 @@ call '{"op":"close","id":"abandoned"}' | grep -q '"ok":true'
 call '{"op":"shutdown"}' | grep -q '"ok":true'
 rc=0
 wait "$daemon" || rc=$?
+daemon=
 test "$rc" -eq 0
 
 # --- phase 3: corrupted store entry is quarantined at startup ----------
@@ -127,6 +160,7 @@ test ! -e "$DATA/store/entries/$entry"
 call '{"op":"shutdown"}' | grep -q '"ok":true'
 rc=0
 wait "$daemon" || rc=$?
+daemon=
 test "$rc" -eq 0
 
 echo "service chaos proxy OK"

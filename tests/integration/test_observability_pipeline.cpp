@@ -44,7 +44,7 @@ class ObservabilityPipeline : public ::testing::Test {
     obs::ObservedEvaluator target(*target_backend, "eval.target");
 
     tuner::ExperimentSettings s;
-    s.nmax = 25;
+    s.max_evals = 25;
     s.pool_size = 400;
     out = tuner::run_transfer_experiment(source, target, s);
   }
@@ -173,7 +173,7 @@ TEST(SpanTreeIntegrity, ParallelFaultInjectedSearchHasNoOrphans) {
   popt.threads = 4;
   tuner::ParallelEvaluator parallel(resilient, popt);
 
-  tuner::RandomSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = 40;
   opt.seed = 5;
   const auto trace = tuner::random_search(parallel, opt);

@@ -19,7 +19,7 @@ using tuner::ExperimentSettings;
 using tuner::run_transfer_experiment;
 
 ExperimentSettings paper_settings() {
-  ExperimentSettings s;  // nmax = 100, N = 10000, delta = 20 %
+  ExperimentSettings s;  // n_max = 100, N = 10000, delta = 20 %
   s.seed = 20160401;
   return s;
 }
@@ -87,7 +87,7 @@ TEST(TransferPipeline, XeonPhiDefaultIsBestForMm) {
       mm, sim::make_xeon_phi(sim::Compiler::Intel), 60);
   const double default_time =
       phi.evaluate(mm->space().default_config()).seconds;
-  const auto rs = tuner::run_reference_rs(phi, paper_settings());
+  const auto rs = tuner::random_search(phi, paper_settings());
   EXPECT_LT(default_time, rs.best_seconds());
 }
 
@@ -134,7 +134,7 @@ TEST(TransferPipeline, SurvivesTenPercentTransientFaults) {
     tuner::ResilientEvaluator wm_res(wm_faulty);
     tuner::ResilientEvaluator sb_res(sb_faulty);
     ExperimentSettings s = paper_settings();
-    s.nmax = 40;
+    s.max_evals = 40;
     s.pool_size = 1000;
     s.forest.num_trees = 16;
     auto r = run_transfer_experiment(wm_res, sb_res, s);
@@ -169,7 +169,7 @@ TEST(TransferPipeline, SurvivesTenPercentTransientFaults) {
 
 TEST(TransferPipeline, EveryPaperProblemRunsEndToEnd) {
   ExperimentSettings quick = paper_settings();
-  quick.nmax = 20;
+  quick.max_evals = 20;
   quick.pool_size = 300;
   quick.forest.num_trees = 16;
   for (const auto& prob : apps::all_problem_names()) {

@@ -106,7 +106,7 @@ TEST(ObservedEvaluator, SearchAbortFlushesTheEventLog) {
 
   MemorySink sink;
   ScopedSinkRedirect redirect(&sink, Severity::Warn);
-  tuner::RandomSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = 100;
   opt.seed = 7;
   opt.failure_budget.max_consecutive = 5;

@@ -66,9 +66,13 @@ TEST(ThreadPoolMetrics, CountsEveryPoolInTheProcess) {
   // The observer is process-wide: two distinct pools both report to it.
   MetricsRegistry registry;
   ScopedThreadPoolMetrics metrics(&registry);
-  ThreadPool a(1), b(2);
-  a.parallel_for(0, 4, [](std::size_t) {});
-  b.parallel_for(0, 4, [](std::size_t) {});
+  {
+    ThreadPool a(1), b(2);
+    a.parallel_for(0, 4, [](std::size_t) {});
+    b.parallel_for(0, 4, [](std::size_t) {});
+    // Destroying the pools joins their workers before the counters are
+    // read, whatever the order of a task's completion and its count.
+  }
   EXPECT_EQ(registry.counter("pool.tasks_submitted").value(),
             registry.counter("pool.tasks_completed").value());
   EXPECT_GE(registry.counter("pool.tasks_completed").value(), 2u);

@@ -294,7 +294,7 @@ TEST(TuningServiceTest, ConcurrentSessionsMatchTheirSerialReferences) {
   // Single-threaded references, computed on bare stacks with no cache.
   const auto reference = [](const apps::TuningConfig& cfg) {
     auto stack = cfg.make_stack();
-    tuner::TuningSession ref(*stack, cfg.session_options("ref"));
+    tuner::TuningSession ref(*stack, cfg.search_options(), nullptr, "ref");
     while (!ref.step(10).exhausted) {
     }
     return ref.trace();

@@ -51,7 +51,7 @@ class StoreQuarantineTest : public testing::Test {
                            .make_stack();
     fp_w_ = measure_fingerprint(*westmere, 8);
     const std::vector<double> fp_s = measure_fingerprint(*sandybridge, 8);
-    tuner::RandomSearchOptions ro;
+    tuner::SearchOptions ro;
     ro.max_evals = 20;
     ro.seed = 42;
     SurrogateStoreOptions opt;

@@ -32,7 +32,7 @@ SurrogateStoreOptions store_opt(const std::string& name) {
 tuner::SearchTrace make_trace(apps::EvaluatorStack& stack,
                               std::size_t evals = 30,
                               std::uint64_t seed = 42) {
-  tuner::RandomSearchOptions opt;
+  tuner::SearchOptions opt;
   opt.max_evals = evals;
   opt.seed = seed;
   return tuner::random_search(stack, opt);

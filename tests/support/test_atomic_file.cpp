@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "support/checksum.hpp"
@@ -13,9 +15,12 @@ namespace {
 class AtomicFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per process and test: ctest runs every case in its
+    // own process, concurrently, and a sibling's TearDown must not remove
+    // the directory this case is writing into.
     dir_ = std::filesystem::temp_directory_path() /
-           ("portatune_atomic_file_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+           ("portatune_atomic_file_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

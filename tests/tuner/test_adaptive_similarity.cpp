@@ -18,7 +18,7 @@ QuadraticEvaluator source_machine() {
 }
 
 SearchTrace source_trace(QuadraticEvaluator& a, std::size_t n = 80) {
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = n;
   opt.seed = 5;
   return random_search(a, opt);
@@ -28,8 +28,9 @@ TEST(Adaptive, RespectsBudgetAndRecordsAlgorithm) {
   auto a = source_machine();
   const auto src = source_trace(a);
   QuadraticEvaluator b("B", {7, 2, 5, 1}, {1.1, 0.9, 1.2, 0.8});
-  AdaptiveSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 40;
+  opt.seed = 1;
   opt.pool_size = 800;
   opt.forest.num_trees = 16;
   const auto trace = adaptive_biased_search(b, src, opt);
@@ -39,8 +40,9 @@ TEST(Adaptive, RespectsBudgetAndRecordsAlgorithm) {
 
 TEST(Adaptive, WorksWithEmptySource) {
   QuadraticEvaluator b("B", {5, 5, 5, 5}, {1, 1, 1, 1});
-  AdaptiveSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 30;
+  opt.seed = 1;
   opt.pool_size = 500;
   opt.refit_interval = 5;
   opt.forest.num_trees = 8;
@@ -63,14 +65,14 @@ TEST(Adaptive, RecoversFromMisleadingSource) {
   const auto model = fit_surrogate(src, a.space(), fp);
 
   QuadraticEvaluator b1("B", {0, 0, 0, 0}, {1, 1, 1, 1});
-  BiasedSearchOptions static_opt;
+  SearchOptions static_opt;
   static_opt.max_evals = 50;
   static_opt.pool_size = 1000;
   static_opt.seed = 7;
   const auto static_trace = biased_random_search(b1, *model, static_opt);
 
   QuadraticEvaluator b2("B", {0, 0, 0, 0}, {1, 1, 1, 1});
-  AdaptiveSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 50;
   opt.pool_size = 1000;
   opt.refit_interval = 10;
@@ -86,7 +88,8 @@ TEST(Adaptive, RejectsBadOptions) {
   auto a = source_machine();
   const auto src = source_trace(a, 10);
   QuadraticEvaluator b("B", {1, 1, 1, 1}, {1, 1, 1, 1});
-  AdaptiveSearchOptions opt;
+  SearchOptions opt;
+  opt.seed = 1;
   opt.refit_interval = 0;
   EXPECT_THROW(adaptive_biased_search(b, src, opt), Error);
 }
@@ -97,7 +100,7 @@ TEST(Adaptive, WithoutRefitsItIsBiasedSearch) {
   // failed draws included.
   auto a = source_machine();
   const auto src = source_trace(a);
-  AdaptiveSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 30;
   opt.pool_size = 600;
   opt.refit_interval = 30;
@@ -111,7 +114,7 @@ TEST(Adaptive, WithoutRefitsItIsBiasedSearch) {
   ml::ForestParams fp = opt.forest;
   fp.seed = opt.seed;
   const auto model = fit_surrogate(src, a.space(), fp);
-  BiasedSearchOptions b_opt;
+  SearchOptions b_opt;
   b_opt.max_evals = opt.max_evals;
   b_opt.pool_size = opt.pool_size;
   b_opt.seed = opt.seed;
@@ -142,8 +145,9 @@ TEST(Adaptive, CancellationStopsAtTheNextWindow) {
     if (++calls == 5) shutdown.request_cancel();
     return false;
   };
-  AdaptiveSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 30;
+  opt.seed = 1;
   opt.pool_size = 200;
   opt.forest.num_trees = 8;
   opt.cancel = shutdown.token();

@@ -19,7 +19,7 @@ namespace {
 using testing::QuadraticEvaluator;
 
 std::string sample_trace_bytes(QuadraticEvaluator& eval, std::size_t n) {
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = n;
   opt.seed = 13;
   const auto trace = random_search(eval, opt);
@@ -30,7 +30,7 @@ std::string sample_trace_bytes(QuadraticEvaluator& eval, std::size_t n) {
 
 std::string sample_checkpoint_bytes(QuadraticEvaluator& eval,
                                     std::size_t n) {
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = n;
   opt.seed = 13;
   SearchCheckpoint snapshot;

@@ -190,7 +190,7 @@ TEST(FaultInjection, ResilientEvaluatorRecoversInjectedTransients) {
   policy.max_attempts = 4;
   ResilientEvaluator resilient(faulty, policy);
 
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 60;
   opt.seed = 13;
   const auto trace = random_search(resilient, opt);

@@ -232,12 +232,12 @@ TEST(GuardedSearch, MisleadingModelCannotSinkRSp) {
   auto target = make_target();
   const BowlModel hostile({9, 9, 9, 9});
 
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 60;
   rs_opt.seed = 5;
   const auto rs = random_search(target, rs_opt);
 
-  PrunedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 60;
   opt.seed = 5;
   opt.pool_size = 2000;
@@ -262,12 +262,12 @@ TEST(GuardedSearch, MisleadingModelCannotSinkRSb) {
   auto target = make_target();
   const BowlModel hostile({9, 9, 9, 9});
 
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 60;
   rs_opt.seed = 5;
   const auto rs = random_search(target, rs_opt);
 
-  BiasedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 60;
   opt.seed = 5;
   opt.pool_size = 2000;
@@ -292,7 +292,7 @@ TEST(GuardedSearch, AccurateModelLeavesTracesIdentical) {
   auto target = make_target();
   const BowlModel faithful({0, 0, 0, 0});
 
-  PrunedSearchOptions p_opt;
+  SearchOptions p_opt;
   p_opt.max_evals = 40;
   p_opt.seed = 11;
   p_opt.pool_size = 1000;
@@ -308,7 +308,7 @@ TEST(GuardedSearch, AccurateModelLeavesTracesIdentical) {
   EXPECT_EQ(canonical_csv(p_plain, target.space()),
             canonical_csv(p_guarded, target.space()));
 
-  BiasedSearchOptions b_opt;
+  SearchOptions b_opt;
   b_opt.max_evals = 40;
   b_opt.seed = 11;
   b_opt.pool_size = 1000;
@@ -331,7 +331,7 @@ TEST(GuardedSearch, DegradedStateRelaxesThePruningCutoff) {
   auto target = make_target();
   const BowlModel hostile({9, 9, 9, 9});
 
-  PrunedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 50;
   opt.seed = 3;
   opt.pool_size = 2000;
@@ -355,7 +355,7 @@ TEST(GuardedSearch, StarvationCapKeepsRSpAlive) {
   auto target = make_target();
   const PlateauModel plateau;
 
-  PrunedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 60;
   opt.seed = 9;
   opt.pool_size = 2000;
@@ -393,12 +393,12 @@ TEST(GuardedSearch, RefitRescuesRSbUnderInjectedFaults) {
   // times): its RS trace is what the hybrid refit mixes with the target
   // observations, exactly as run_transfer_experiment wires T_a in.
   QuadraticEvaluator source("A", {0, 0, 0, 0}, {2, 2, 2, 2}, 2.0);
-  RandomSearchOptions src_opt;
+  SearchOptions src_opt;
   src_opt.max_evals = 60;
   src_opt.seed = 29;
   const auto source_rs = random_search(source, src_opt);
 
-  BiasedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 80;
   opt.seed = 17;
   opt.pool_size = 2000;
@@ -415,7 +415,7 @@ TEST(GuardedSearch, RefitRescuesRSbUnderInjectedFaults) {
 
   // Same budget, no guard: the hostile ranking walks the pool from the
   // wrong corner inward for all 80 evaluations.
-  BiasedSearchOptions plain;
+  SearchOptions plain;
   plain.max_evals = 80;
   plain.seed = 17;
   plain.pool_size = 2000;
@@ -441,7 +441,7 @@ TEST(GuardedSearch, ParallelEvaluationPreservesGuardedTraces) {
   auto serial_eval = make_target();
   const BowlModel hostile({9, 9, 9, 9});
 
-  PrunedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 60;
   opt.seed = 5;
   opt.pool_size = 2000;
@@ -457,7 +457,7 @@ TEST(GuardedSearch, ParallelEvaluationPreservesGuardedTraces) {
   EXPECT_EQ(canonical_csv(serial, serial_eval.space()),
             canonical_csv(parallel, backend.space()));
 
-  BiasedSearchOptions b_opt;
+  SearchOptions b_opt;
   b_opt.max_evals = 60;
   b_opt.seed = 5;
   b_opt.pool_size = 2000;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/cancellation.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/random_search.hpp"
 #include "tuner/transfer.hpp"
@@ -15,9 +16,18 @@ QuadraticEvaluator convex() {
   return QuadraticEvaluator("host", {6, 3, 8, 2}, {1.0, 1.0, 1.0, 1.0});
 }
 
+const struct {
+  const char* name;
+  HeuristicSearch search;
+} kHeuristics[] = {
+    {"GA", genetic_search},     {"SA", annealing_search},
+    {"PS", pattern_search},     {"Ensemble", ensemble_search},
+    {"NM", nelder_mead_search}, {"OS", orthogonal_search},
+};
+
 TEST(Genetic, RespectsBudgetAndFindsGoodPoint) {
   auto eval = convex();
-  GeneticOptions opt;
+  SearchOptions opt;
   opt.max_evals = 80;
   opt.seed = 1;
   const auto trace = genetic_search(eval, opt);
@@ -30,14 +40,14 @@ TEST(Genetic, RespectsBudgetAndFindsGoodPoint) {
 
 TEST(Genetic, TinyPopulationRejected) {
   auto eval = convex();
-  GeneticOptions opt;
+  SearchOptions opt;
   opt.population = 1;
   EXPECT_THROW(genetic_search(eval, opt), Error);
 }
 
 TEST(Annealing, ConvergesOnConvexLandscape) {
   auto eval = convex();
-  AnnealingOptions opt;
+  SearchOptions opt;
   opt.max_evals = 120;
   opt.seed = 2;
   const auto trace = annealing_search(eval, opt);
@@ -48,7 +58,7 @@ TEST(Annealing, ConvergesOnConvexLandscape) {
 
 TEST(PatternSearch, DescendsToLocalOptimum) {
   auto eval = convex();
-  PatternSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 150;
   opt.seed = 3;
   const auto trace = pattern_search(eval, opt);
@@ -59,7 +69,7 @@ TEST(PatternSearch, DescendsToLocalOptimum) {
 
 TEST(Ensemble, FindsGoodPointAndTracksBudget) {
   auto eval = convex();
-  EnsembleOptions opt;
+  SearchOptions opt;
   opt.max_evals = 120;
   opt.seed = 4;
   const auto trace = ensemble_search(eval, opt);
@@ -69,47 +79,18 @@ TEST(Ensemble, FindsGoodPointAndTracksBudget) {
 }
 
 TEST(Heuristics, AllDeterministicForSeed) {
-  for (int which = 0; which < 4; ++which) {
+  SearchOptions o;
+  o.max_evals = 40;
+  o.seed = 9;
+  for (const auto& h : kHeuristics) {
     auto e1 = convex();
     auto e2 = convex();
-    SearchTrace t1, t2;
-    switch (which) {
-      case 0: {
-        GeneticOptions o;
-        o.max_evals = 40;
-        o.seed = 9;
-        t1 = genetic_search(e1, o);
-        t2 = genetic_search(e2, o);
-        break;
-      }
-      case 1: {
-        AnnealingOptions o;
-        o.max_evals = 40;
-        o.seed = 9;
-        t1 = annealing_search(e1, o);
-        t2 = annealing_search(e2, o);
-        break;
-      }
-      case 2: {
-        PatternSearchOptions o;
-        o.max_evals = 40;
-        o.seed = 9;
-        t1 = pattern_search(e1, o);
-        t2 = pattern_search(e2, o);
-        break;
-      }
-      default: {
-        EnsembleOptions o;
-        o.max_evals = 40;
-        o.seed = 9;
-        t1 = ensemble_search(e1, o);
-        t2 = ensemble_search(e2, o);
-      }
-    }
-    ASSERT_EQ(t1.size(), t2.size()) << "algorithm " << which;
+    const SearchTrace t1 = h.search(e1, o, nullptr);
+    const SearchTrace t2 = h.search(e2, o, nullptr);
+    ASSERT_EQ(t1.size(), t2.size()) << "algorithm " << h.name;
     for (std::size_t i = 0; i < t1.size(); ++i)
       EXPECT_EQ(t1.entry(i).config, t2.entry(i).config)
-          << "algorithm " << which;
+          << "algorithm " << h.name;
   }
 }
 
@@ -118,7 +99,7 @@ TEST(Heuristics, SurrogateSeedingImprovesFirstEvaluations) {
   // machines share the optimum, so seeded starts must be better than
   // random ones on average.
   QuadraticEvaluator a("A", {6, 3, 8, 2}, {1, 1, 1, 1});
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 120;
   rs_opt.seed = 17;
   const auto source = random_search(a, rs_opt);
@@ -128,14 +109,12 @@ TEST(Heuristics, SurrogateSeedingImprovesFirstEvaluations) {
 
   auto cold_eval = convex();
   auto warm_eval = convex();
-  GeneticOptions cold;
-  cold.max_evals = 20;
-  cold.population = 10;
-  cold.seed = 18;
-  GeneticOptions warm = cold;
-  warm.surrogate = model.get();
-  const auto cold_trace = genetic_search(cold_eval, cold);
-  const auto warm_trace = genetic_search(warm_eval, warm);
+  SearchOptions opt;
+  opt.max_evals = 20;
+  opt.population = 10;
+  opt.seed = 18;
+  const auto cold_trace = genetic_search(cold_eval, opt);
+  const auto warm_trace = genetic_search(warm_eval, opt, model.get());
   // The warm initial population is drawn from the model's predicted-best
   // pool; its first few evaluations should dominate random draws.
   double cold_first = 0, warm_first = 0;
@@ -149,12 +128,51 @@ TEST(Heuristics, SurrogateSeedingImprovesFirstEvaluations) {
 TEST(Heuristics, FailuresDoNotStallSearches) {
   auto eval = convex();
   eval.fail_when = [](const ParamConfig& c) { return c[1] == 4; };
-  PatternSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 60;
   opt.seed = 21;
   const auto trace = pattern_search(eval, opt);
   EXPECT_GT(trace.size(), 10u);
   for (const auto& e : trace.entries()) EXPECT_NE(e.config[1], 4);
+}
+
+/// Request shutdown from inside the 5th evaluation: every proposal is a
+/// one-draw window, so `search` must stop right after that evaluation.
+void expect_cancelled_after_fifth_evaluation(HeuristicSearch search) {
+  auto eval = convex();
+  CancellationSource shutdown;
+  std::size_t calls = 0;
+  eval.fail_when = [&](const ParamConfig&) {
+    if (++calls == 5) shutdown.request_cancel();
+    return false;
+  };
+  SearchOptions opt;
+  opt.max_evals = 40;
+  opt.seed = 9;
+  opt.cancel = shutdown.token();
+  const SearchTrace trace = search(eval, opt, nullptr);
+  EXPECT_EQ(trace.stop_reason(), kCancelledStopReason);
+  EXPECT_EQ(trace.size(), 5u);
+  EXPECT_EQ(eval.calls(), 5u);
+}
+
+TEST(HeuristicCancellation, Genetic) {
+  expect_cancelled_after_fifth_evaluation(genetic_search);
+}
+TEST(HeuristicCancellation, Annealing) {
+  expect_cancelled_after_fifth_evaluation(annealing_search);
+}
+TEST(HeuristicCancellation, PatternSearch) {
+  expect_cancelled_after_fifth_evaluation(pattern_search);
+}
+TEST(HeuristicCancellation, Ensemble) {
+  expect_cancelled_after_fifth_evaluation(ensemble_search);
+}
+TEST(HeuristicCancellation, NelderMead) {
+  expect_cancelled_after_fifth_evaluation(nelder_mead_search);
+}
+TEST(HeuristicCancellation, Orthogonal) {
+  expect_cancelled_after_fifth_evaluation(orthogonal_search);
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ class TransferExperimentFixture : public ::testing::Test {
   TransferExperimentFixture()
       : a_("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25}),
         b_("B", {7, 2, 5, 1}, {1.1, 0.6, 1.9, 0.2}, 2.0) {
-    settings_.nmax = 60;
+    settings_.max_evals = 60;
     settings_.pool_size = 1500;
     settings_.seed = 2024;
     settings_.forest.num_trees = 24;
@@ -130,7 +130,7 @@ TEST(Experiment, AnticorrelatedMachinesDefeatTransfer) {
   QuadraticEvaluator a("A", {9, 9, 9, 9}, {1, 1, 1, 1});
   QuadraticEvaluator b("B", {0, 0, 0, 0}, {1, 1, 1, 1});
   ExperimentSettings settings;
-  settings.nmax = 60;
+  settings.max_evals = 60;
   settings.pool_size = 1500;
   settings.forest.num_trees = 24;
   const auto r = run_transfer_experiment(a, b, settings);
@@ -144,7 +144,7 @@ TEST(Experiment, FailuresDoNotBreakTheProtocol) {
   a.fail_when = [](const ParamConfig& c) { return c[0] == 3; };
   b.fail_when = [](const ParamConfig& c) { return c[0] == 3; };
   ExperimentSettings settings;
-  settings.nmax = 40;
+  settings.max_evals = 40;
   settings.pool_size = 800;
   settings.forest.num_trees = 16;
   const auto r = run_transfer_experiment(a, b, settings);

@@ -16,7 +16,7 @@ QuadraticEvaluator convex() {
 
 TEST(NelderMead, ConvergesNearOptimumOnConvexLandscape) {
   auto eval = convex();
-  NelderMeadOptions opt;
+  SearchOptions opt;
   opt.max_evals = 150;
   opt.seed = 1;
   const auto trace = nelder_mead_search(eval, opt);
@@ -28,7 +28,7 @@ TEST(NelderMead, ConvergesNearOptimumOnConvexLandscape) {
 TEST(NelderMead, DeterministicForSeed) {
   auto e1 = convex();
   auto e2 = convex();
-  NelderMeadOptions opt;
+  SearchOptions opt;
   opt.max_evals = 60;
   opt.seed = 2;
   const auto t1 = nelder_mead_search(e1, opt);
@@ -41,7 +41,7 @@ TEST(NelderMead, DeterministicForSeed) {
 TEST(NelderMead, HandlesFailures) {
   auto eval = convex();
   eval.fail_when = [](const ParamConfig& c) { return c[2] == 7; };
-  NelderMeadOptions opt;
+  SearchOptions opt;
   opt.max_evals = 80;
   opt.seed = 3;
   const auto trace = nelder_mead_search(eval, opt);
@@ -53,7 +53,7 @@ TEST(Orthogonal, ExactOptimumOnSeparableLandscape) {
   // Coordinate sweeps solve separable quadratics exactly; the space has
   // 4 params x 10 values, so one full round costs <= 37 evaluations.
   auto eval = convex();
-  OrthogonalSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 80;
   opt.seed = 4;
   const auto trace = orthogonal_search(eval, opt);
@@ -63,7 +63,7 @@ TEST(Orthogonal, ExactOptimumOnSeparableLandscape) {
 
 TEST(Orthogonal, RespectsBudgetStrictly) {
   auto eval = convex();
-  OrthogonalSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 25;
   opt.seed = 5;
   const auto trace = orthogonal_search(eval, opt);
@@ -72,7 +72,7 @@ TEST(Orthogonal, RespectsBudgetStrictly) {
 
 TEST(Orthogonal, SurrogateSeedingHelpsFirstSweep) {
   QuadraticEvaluator a("A", {6, 3, 8, 2}, {1, 1, 1, 1});
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 100;
   rs_opt.seed = 6;
   const auto src = random_search(a, rs_opt);
@@ -82,13 +82,11 @@ TEST(Orthogonal, SurrogateSeedingHelpsFirstSweep) {
 
   auto cold_eval = convex();
   auto warm_eval = convex();
-  OrthogonalSearchOptions cold;
-  cold.max_evals = 12;  // less than one full sweep
-  cold.seed = 7;
-  OrthogonalSearchOptions warm = cold;
-  warm.surrogate = model.get();
-  const auto cold_trace = orthogonal_search(cold_eval, cold);
-  const auto warm_trace = orthogonal_search(warm_eval, warm);
+  SearchOptions opt;
+  opt.max_evals = 12;  // less than one full sweep
+  opt.seed = 7;
+  const auto cold_trace = orthogonal_search(cold_eval, opt);
+  const auto warm_trace = orthogonal_search(warm_eval, opt, model.get());
   EXPECT_LE(warm_trace.entry(0).seconds, cold_trace.entry(0).seconds);
 }
 

@@ -153,7 +153,7 @@ TEST(FindLayer, WalksDecoratorStackOutermostIn) {
 // ---------------------------------------------------------------------
 
 TEST(ParallelParity, RandomSearchTraceIsByteIdentical) {
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 60;
   opt.seed = 7;
 
@@ -173,7 +173,7 @@ TEST(ParallelParity, RandomSearchTraceIsByteIdentical) {
 
 TEST(ParallelParity, PrunedSearchTraceIsByteIdentical) {
   auto a = machine_a();
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 100;
   rs_opt.seed = 21;
   const auto source = random_search(a, rs_opt);
@@ -182,7 +182,7 @@ TEST(ParallelParity, PrunedSearchTraceIsByteIdentical) {
   fp.seed = 5;
   const auto model = fit_surrogate(source, a.space(), fp);
 
-  PrunedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 30;
   opt.seed = 21;
   opt.pool_size = 1000;
@@ -199,7 +199,7 @@ TEST(ParallelParity, PrunedSearchTraceIsByteIdentical) {
 
 TEST(ParallelParity, BiasedSearchTraceIsByteIdentical) {
   auto a = machine_a();
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 100;
   rs_opt.seed = 31;
   const auto source = random_search(a, rs_opt);
@@ -208,7 +208,7 @@ TEST(ParallelParity, BiasedSearchTraceIsByteIdentical) {
   fp.seed = 5;
   const auto model = fit_surrogate(source, a.space(), fp);
 
-  BiasedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 25;
   opt.pool_size = 1000;
   opt.seed = 31;
@@ -234,7 +234,7 @@ TEST(ParallelParity, FaultInjectedResilientStackIsByteIdentical) {
   RetryPolicy retry;
   retry.max_attempts = 3;
 
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 50;
   opt.seed = 13;
 
@@ -260,7 +260,7 @@ TEST(ParallelParity, FaultInjectedResilientStackIsByteIdentical) {
 }
 
 TEST(ParallelParity, FailureBudgetAbortStopsAtTheSamePoint) {
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 200;
   opt.seed = 17;
   opt.failure_budget.max_total = 8;
@@ -285,7 +285,7 @@ TEST(ParallelParity, FailureBudgetAbortStopsAtTheSamePoint) {
 /// A source-machine RS trace for the explicit-order searches to walk.
 SearchTrace source_rs(std::size_t n, std::uint64_t seed) {
   auto a = machine_a();
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = n;
   opt.seed = seed;
   return random_search(a, opt);
@@ -296,14 +296,16 @@ TEST(ParallelParity, ReplaySearchTraceIsByteIdentical) {
   std::vector<ParamConfig> order;
   for (const auto& e : source.entries()) order.push_back(e.config);
   const auto fails = [](const ParamConfig& c) { return c[2] % 3 == 0; };
+  SearchOptions opt;
+  opt.max_evals = 30;
 
   auto serial = machine_b();
   serial.fail_when = fails;
-  const auto ts = replay_search(serial, order, 30);
+  const auto ts = replay_search(serial, order, opt);
   auto backend = machine_b();
   backend.fail_when = fails;
   ParallelEvaluator par(backend, {.threads = 4});
-  const auto tp = replay_search(par, order, 30);
+  const auto tp = replay_search(par, order, opt);
 
   ASSERT_EQ(ts.size(), 30u);
   EXPECT_EQ(canonical_csv(ts, serial.space()),
@@ -314,14 +316,17 @@ TEST(ParallelParity, ReplaySearchTraceIsByteIdentical) {
 TEST(ParallelParity, ModelFreePrunedTraceIsByteIdentical) {
   const auto source = source_rs(100, 43);
   const auto fails = [](const ParamConfig& c) { return c[3] % 4 == 0; };
+  SearchOptions opt;
+  opt.max_evals = SIZE_MAX;
+  opt.delta_percent = 30.0;
 
   auto serial = machine_b();
   serial.fail_when = fails;
-  const auto ts = model_free_pruned(serial, source, 30.0);
+  const auto ts = model_free_pruned(serial, source, opt);
   auto backend = machine_b();
   backend.fail_when = fails;
   ParallelEvaluator par(backend, {.threads = 4});
-  const auto tp = model_free_pruned(par, source, 30.0);
+  const auto tp = model_free_pruned(par, source, opt);
 
   ASSERT_FALSE(ts.empty());
   EXPECT_EQ(canonical_csv(ts, serial.space()),
@@ -331,17 +336,18 @@ TEST(ParallelParity, ModelFreePrunedTraceIsByteIdentical) {
 
 TEST(ParallelParity, ModelFreeBiasedAbortStopsAtTheSamePoint) {
   const auto source = source_rs(100, 47);
-  FailureBudget fb;
-  fb.max_total = 5;
+  SearchOptions opt;
+  opt.max_evals = SIZE_MAX;
+  opt.failure_budget.max_total = 5;
   const auto fails = [](const ParamConfig& c) { return c[0] % 2 == 0; };
 
   auto serial = machine_b();
   serial.fail_when = fails;
-  const auto ts = model_free_biased(serial, source, SIZE_MAX, fb);
+  const auto ts = model_free_biased(serial, source, opt);
   auto backend = machine_b();
   backend.fail_when = fails;
   ParallelEvaluator par(backend, {.threads = 4});
-  const auto tp = model_free_biased(par, source, SIZE_MAX, fb);
+  const auto tp = model_free_biased(par, source, opt);
 
   ASSERT_FALSE(ts.stop_reason().empty());
   EXPECT_EQ(ts.stop_reason(), tp.stop_reason());
@@ -352,7 +358,7 @@ TEST(ParallelParity, ModelFreeBiasedAbortStopsAtTheSamePoint) {
 
 TEST(ParallelParity, CheckpointResumeMatchesUninterruptedRun) {
   const auto make_options = [] {
-    RandomSearchOptions opt;
+    SearchOptions opt;
     opt.max_evals = 60;
     opt.seed = 23;
     return opt;
@@ -437,7 +443,7 @@ TEST(ConcurrentQuarantine, ParallelBatchesQuarantineEveryFailingConfig) {
 
 TEST(ParallelExperiments, FanOutMatchesSerialJobOrder) {
   ExperimentSettings settings;
-  settings.nmax = 20;
+  settings.max_evals = 20;
   settings.pool_size = 400;
   settings.forest.num_trees = 12;
 

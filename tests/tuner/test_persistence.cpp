@@ -15,7 +15,7 @@ namespace {
 using testing::QuadraticEvaluator;
 
 SearchTrace sample_trace(QuadraticEvaluator& eval, std::size_t n = 25) {
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = n;
   opt.seed = 13;
   return random_search(eval, opt);

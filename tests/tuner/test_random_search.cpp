@@ -24,7 +24,7 @@ QuadraticEvaluator machine_b() {
 
 TEST(RandomSearch, RespectsBudgetAndRecordsMetadata) {
   auto eval = machine_a();
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 25;
   opt.seed = 3;
   const auto trace = random_search(eval, opt);
@@ -39,7 +39,7 @@ TEST(RandomSearch, SameSeedSameDrawOrderAcrossMachines) {
   // space and seed walk identical configuration sequences.
   auto a = machine_a();
   auto b = machine_b();
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 30;
   opt.seed = 11;
   const auto ta = random_search(a, opt);
@@ -51,8 +51,9 @@ TEST(RandomSearch, SameSeedSameDrawOrderAcrossMachines) {
 
 TEST(RandomSearch, NeverRepeatsConfigurations) {
   auto eval = machine_a();
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 500;
+  opt.seed = 1;
   const auto trace = random_search(eval, opt);
   std::set<std::uint64_t> seen;
   for (const auto& e : trace.entries())
@@ -62,8 +63,9 @@ TEST(RandomSearch, NeverRepeatsConfigurations) {
 TEST(RandomSearch, FailedEvaluationsAreSkipped) {
   auto eval = machine_a();
   eval.fail_when = [](const ParamConfig& c) { return c[0] % 2 == 0; };
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 40;
+  opt.seed = 1;
   const auto trace = random_search(eval, opt);
   EXPECT_EQ(trace.size(), 40u);  // still fills its budget
   for (const auto& e : trace.entries()) EXPECT_NE(e.config[0] % 2, 0);
@@ -72,14 +74,15 @@ TEST(RandomSearch, FailedEvaluationsAreSkipped) {
 
 TEST(ReplaySearch, EvaluatesGivenOrderExactly) {
   auto a = machine_a();
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 15;
+  opt.seed = 1;
   const auto ta = random_search(a, opt);
   std::vector<ParamConfig> order;
   for (const auto& e : ta.entries()) order.push_back(e.config);
 
   auto b = machine_b();
-  const auto tb = replay_search(b, order, 15);
+  const auto tb = replay_search(b, order, opt);
   ASSERT_EQ(tb.size(), 15u);
   for (std::size_t i = 0; i < 15; ++i)
     EXPECT_EQ(tb.entry(i).config, order[i]);
@@ -95,14 +98,14 @@ ml::RegressorPtr fit_model(const SearchTrace& source,
 
 TEST(PrunedSearch, OnlyEvaluatesPredictedGoodConfigs) {
   auto a = machine_a();
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 100;
   rs_opt.seed = 21;
   const auto source = random_search(a, rs_opt);
   const auto model = fit_model(source, a.space());
 
   auto b = machine_b();
-  PrunedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 30;
   opt.seed = 21;
   opt.delta_percent = 20.0;
@@ -133,8 +136,9 @@ TEST(PrunedSearch, FallsBackWhenModelPrunesEverything) {
   constant_model.fit(d);
 
   auto b = machine_b();
-  PrunedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 10;
+  opt.seed = 1;
   const auto trace = pruned_random_search(b, constant_model, opt);
   EXPECT_GT(trace.size(), 0u);
 }
@@ -142,21 +146,21 @@ TEST(PrunedSearch, FallsBackWhenModelPrunesEverything) {
 TEST(PrunedSearch, RejectsBadDelta) {
   auto b = machine_b();
   ml::RandomForest model;
-  PrunedSearchOptions opt;
+  SearchOptions opt;
   opt.delta_percent = 0;
   EXPECT_THROW(pruned_random_search(b, model, opt), Error);
 }
 
 TEST(BiasedSearch, EvaluatesInAscendingPredictedOrder) {
   auto a = machine_a();
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 100;
   rs_opt.seed = 31;
   const auto source = random_search(a, rs_opt);
   const auto model = fit_model(source, a.space());
 
   auto b = machine_b();
-  BiasedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 25;
   opt.pool_size = 1000;
   opt.seed = 31;
@@ -172,14 +176,14 @@ TEST(BiasedSearch, EvaluatesInAscendingPredictedOrder) {
 
 TEST(BiasedSearch, TransfersOptimumOnCorrelatedMachines) {
   auto a = machine_a();
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 150;
   rs_opt.seed = 41;
   const auto source = random_search(a, rs_opt);
   const auto model = fit_model(source, a.space());
 
   auto b = machine_b();
-  BiasedSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 20;
   opt.pool_size = 2000;
   opt.seed = 41;
@@ -195,13 +199,16 @@ TEST(BiasedSearch, TransfersOptimumOnCorrelatedMachines) {
 
 TEST(ModelFree, PrunedUsesSourceQuantile) {
   auto a = machine_a();
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 100;
   rs_opt.seed = 51;
   const auto source = random_search(a, rs_opt);
 
   auto b = machine_b();
-  const auto trace = model_free_pruned(b, source, 20.0);
+  SearchOptions opt;
+  opt.max_evals = SIZE_MAX;  // every qualifying source configuration
+  opt.delta_percent = 20.0;
+  const auto trace = model_free_pruned(b, source, opt);
   // Exactly the best-20%-on-A subset is evaluated (100 * 0.2 = 20 minus
   // quantile boundary effects).
   EXPECT_GE(trace.size(), 15u);
@@ -216,13 +223,15 @@ TEST(ModelFree, PrunedUsesSourceQuantile) {
 
 TEST(ModelFree, BiasedVisitsSourceAscending) {
   auto a = machine_a();
-  RandomSearchOptions rs_opt;
+  SearchOptions rs_opt;
   rs_opt.max_evals = 50;
   rs_opt.seed = 61;
   const auto source = random_search(a, rs_opt);
 
   auto b = machine_b();
-  const auto trace = model_free_biased(b, source);
+  SearchOptions opt;
+  opt.max_evals = SIZE_MAX;  // every source configuration
+  const auto trace = model_free_biased(b, source, opt);
   ASSERT_EQ(trace.size(), 50u);
   // The evaluation order on B follows ascending source run time; since
   // the machines share the optimum, B's run times are near-sorted. Check
@@ -233,8 +242,8 @@ TEST(ModelFree, BiasedVisitsSourceAscending) {
 TEST(ModelFree, EmptySourceThrows) {
   auto b = machine_b();
   const SearchTrace empty;
-  EXPECT_THROW(model_free_pruned(b, empty, 20.0), Error);
-  EXPECT_THROW(model_free_biased(b, empty), Error);
+  EXPECT_THROW(model_free_pruned(b, empty, {}), Error);
+  EXPECT_THROW(model_free_biased(b, empty, {}), Error);
 }
 
 }  // namespace

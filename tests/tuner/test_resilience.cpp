@@ -204,8 +204,9 @@ TEST(ResilientEvaluator, QuarantineHashesRoundTrip) {
 TEST(FailureAwareSearch, DeadEvaluatorStopsWithDiagnostic) {
   QuadraticEvaluator eval("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
   eval.fail_when = [](const ParamConfig&) { return true; };
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 500;
+  opt.seed = 1;
   opt.failure_budget = {.max_consecutive = 10, .max_total = 100};
   const auto trace = random_search(eval, opt);
   EXPECT_TRUE(trace.empty());
@@ -219,8 +220,9 @@ TEST(FailureAwareSearch, TraceAccountsAttemptsAndOverhead) {
   RetryPolicy policy;
   policy.max_attempts = 3;
   ResilientEvaluator resilient(flaky, policy);
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 8;
+  opt.seed = 1;
   const auto trace = random_search(resilient, opt);
   ASSERT_EQ(trace.size(), 8u);
   const auto& fs = trace.failure_stats();
@@ -239,7 +241,7 @@ TEST(Checkpoint, ResumedSearchMatchesUninterruptedRun) {
     QuadraticEvaluator eval("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
     eval.fail_when = [](const ParamConfig& c) { return c[1] == 3; };
     ResilientEvaluator resilient(eval);
-    RandomSearchOptions opt;
+    SearchOptions opt;
     opt.max_evals = 50;
     opt.seed = 99;
     opt.resume = resume;
@@ -296,7 +298,7 @@ TEST(Checkpoint, ResumeRestoresTheFailureBudget) {
                        SearchCheckpoint* mid) {
     QuadraticEvaluator eval("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
     eval.fail_when = [](const ParamConfig& c) { return c[0] % 3 == 0; };
-    RandomSearchOptions opt;
+    SearchOptions opt;
     opt.max_evals = 500;
     opt.seed = 5;
     opt.failure_budget = budget;

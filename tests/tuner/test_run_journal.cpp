@@ -90,7 +90,7 @@ TEST_F(RunJournalTest, DoneCellWithBadBundleDemotesToPending) {
 
 ExperimentSettings small_settings() {
   ExperimentSettings s;
-  s.nmax = 12;
+  s.max_evals = 12;
   s.pool_size = 300;
   s.seed = 77;
   return s;

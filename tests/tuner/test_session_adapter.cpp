@@ -30,12 +30,11 @@ TEST(SessionAdapter, ColdSessionSteppedToExhaustionIsRandomSearch) {
           .seed(9);
 
   auto stack_rs = cfg.make_stack();
-  RandomSearchOptions rs_opt;
-  static_cast<SearchCommon&>(rs_opt) = cfg.search_common();
-  const SearchTrace rs = random_search(*stack_rs, rs_opt);
+  const SearchTrace rs = random_search(*stack_rs, cfg.search_options());
 
   auto stack_session = cfg.make_stack();
-  TuningSession session(*stack_session, cfg.session_options("parity"));
+  TuningSession session(*stack_session, cfg.search_options(), nullptr,
+                        "parity");
   // Ragged window sizes: the step granularity must not change the trace.
   for (std::size_t n : {1u, 7u, 3u, 20u, 40u}) {
     if (session.step(n).exhausted) break;
@@ -54,9 +53,8 @@ TEST(SessionAdapter, WarmSessionSteppedToExhaustionIsBiasedSearch) {
       apps::TuningConfig{}.problem("LU").machine("Westmere").max_evals(60)
           .seed(4);
   auto source_stack = source_cfg.make_stack();
-  RandomSearchOptions src_opt;
-  static_cast<SearchCommon&>(src_opt) = source_cfg.search_common();
-  const SearchTrace source = random_search(*source_stack, src_opt);
+  const SearchTrace source =
+      random_search(*source_stack, source_cfg.search_options());
   ml::ForestParams fp;
   fp.num_trees = 16;
   fp.seed = 4;
@@ -69,15 +67,12 @@ TEST(SessionAdapter, WarmSessionSteppedToExhaustionIsBiasedSearch) {
                                      .pool_size(1500)
                                      .seed(17);
   auto stack_rs = cfg.make_stack();
-  BiasedSearchOptions b_opt;
-  static_cast<SearchCommon&>(b_opt) = cfg.search_common();
-  b_opt.pool_size = cfg.pool_size();
-  const SearchTrace biased = biased_random_search(*stack_rs, *model, b_opt);
+  const SearchTrace biased =
+      biased_random_search(*stack_rs, *model, cfg.search_options());
 
   auto stack_session = cfg.make_stack();
-  SessionOptions opt = cfg.session_options("warm");
-  opt.warm_model = model.get();
-  TuningSession session(*stack_session, opt);
+  TuningSession session(*stack_session, cfg.search_options(), model.get(),
+                        "warm");
   ASSERT_TRUE(session.warm());
   for (std::size_t n : {2u, 9u, 1u, 13u}) {
     if (session.step(n).exhausted) break;
@@ -96,14 +91,14 @@ TEST(SessionAdapter, SuggestReportInterleavesWithStepLosslessly) {
 
   // Pure service-side stepping.
   auto stack_a = cfg.make_stack();
-  TuningSession pure(*stack_a, cfg.session_options("pure"));
+  TuningSession pure(*stack_a, cfg.search_options(), nullptr, "pure");
   while (!pure.step(10).exhausted) {
   }
 
   // First few draws measured externally via suggest/report, rest stepped.
   auto stack_b = cfg.make_stack();
   auto stack_meter = cfg.make_stack();  // the "external" measurement rig
-  TuningSession hybrid(*stack_b, cfg.session_options("hybrid"));
+  TuningSession hybrid(*stack_b, cfg.search_options(), nullptr, "hybrid");
   for (const auto& c : hybrid.suggest(3)) {
     const EvalResult r = stack_meter->evaluate(c);
     if (r.ok) hybrid.report(c, r.seconds);
@@ -122,22 +117,23 @@ TEST(SessionAdapter, CheckpointResumeReproducesTheUninterruptedTrace) {
           .seed(33);
 
   auto stack_ref = cfg.make_stack();
-  TuningSession reference(*stack_ref, cfg.session_options("ref"));
+  TuningSession reference(*stack_ref, cfg.search_options(), nullptr, "ref");
   while (!reference.step(10).exhausted) {
   }
 
   auto stack_a = cfg.make_stack();
   SearchCheckpoint snapshot;
   {
-    TuningSession first(*stack_a, cfg.session_options("interrupted"));
+    TuningSession first(*stack_a, cfg.search_options(), nullptr,
+                        "interrupted");
     first.step(15);
     snapshot = first.checkpoint();
   }
 
   auto stack_b = cfg.make_stack();
-  SessionOptions opt = cfg.session_options("resumed");
+  SearchOptions opt = cfg.search_options();
   opt.resume = &snapshot;
-  TuningSession resumed(*stack_b, opt);
+  TuningSession resumed(*stack_b, opt, nullptr, "resumed");
   EXPECT_EQ(resumed.trace().size(), snapshot.trace.size());
   while (!resumed.step(10).exhausted) {
   }

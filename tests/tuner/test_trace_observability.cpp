@@ -35,7 +35,7 @@ TEST(TraceWallClock, ExplicitTimestampPassesThrough) {
 
 TEST(TraceWallClock, TraceCsvRoundTripsTimestamps) {
   QuadraticEvaluator eval("M", {5, 5, 5, 5}, {1, 1, 1, 1});
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 8;
   opt.seed = 3;
   const auto original = random_search(eval, opt);

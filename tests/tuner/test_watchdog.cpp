@@ -99,7 +99,7 @@ TEST(EvalWatchdog, SerialAndParallelTracesMatchUnderHangFaults) {
     popt.threads = threads;
     popt.eval_deadline_seconds = 0.05;  // rescue every hang quickly
     ParallelEvaluator par(faulty, popt);
-    RandomSearchOptions opt;
+    SearchOptions opt;
     opt.max_evals = 25;
     opt.seed = 5;
     return random_search(par, opt);
@@ -138,7 +138,7 @@ TEST(Cancellation, SearchStopsAtWindowBoundaryAndResumes) {
   // checkpoint with a fresh (uncancelled) option set clears it and
   // completes with results identical to an uninterrupted run.
   QuadraticEvaluator uninterrupted("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
-  RandomSearchOptions opt;
+  SearchOptions opt;
   opt.max_evals = 30;
   opt.seed = 11;
   const SearchTrace reference = random_search(uninterrupted, opt);
@@ -146,7 +146,7 @@ TEST(Cancellation, SearchStopsAtWindowBoundaryAndResumes) {
   QuadraticEvaluator first("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
   CancellationSource cancel;
   SearchCheckpoint snapshot;
-  RandomSearchOptions interrupted = opt;
+  SearchOptions interrupted = opt;
   interrupted.cancel = cancel.token();
   interrupted.checkpoint_every = 5;
   interrupted.on_checkpoint = [&](const SearchCheckpoint& s) {
@@ -159,7 +159,7 @@ TEST(Cancellation, SearchStopsAtWindowBoundaryAndResumes) {
   ASSERT_GE(snapshot.trace.size(), partial.size());  // final checkpoint
 
   QuadraticEvaluator second("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
-  RandomSearchOptions resume = opt;
+  SearchOptions resume = opt;
   resume.resume = &snapshot;
   const SearchTrace completed = random_search(second, resume);
   EXPECT_TRUE(completed.stop_reason().empty());
