@@ -21,11 +21,14 @@
 //       from their checkpoints).
 //   portatune_cli status --run-dir d [--stale-after 10]
 //       read-only live view of a journaled run: journal summary,
-//       heartbeat freshness, per-cell progress, throughput/ETA. Safe to
-//       invoke while the run is executing (every file it reads is
-//       written atomically). Exit 0 = running or complete, 2 = dead
-//       (stale/missing heartbeat with unfinished cells; prints the
-//       resume hint) or not a run directory at all (no journal.csv).
+//       heartbeat freshness, per-cell progress, throughput/ETA — the
+//       finished work from the journal and its phase files, the live
+//       state from the last row of metrics_timeseries.jsonl. Safe to
+//       invoke while the run is executing (the journal and phase files
+//       are written atomically; a torn time-series row is skipped).
+//       Exit 0 = running or complete, 2 = dead (stale/missing
+//       heartbeat with unfinished cells; prints the resume hint) or not
+//       a run directory at all (no journal.csv).
 //   portatune_cli status --socket /tmp/pt.sock [--interval 0.5]
 //       live view of a running tuning service instead: issues the
 //       `stats` op twice, --interval seconds apart, and renders a
@@ -42,11 +45,12 @@
 //       open session and exits 3; the shutdown op exits 0. Either way a
 //       later serve on the same --data-dir can resume each session.
 //       The daemon gets the journaled-run telemetry treatment: unless
-//       --telemetry-every 0, it maintains server_status.json,
-//       metrics_timeseries.jsonl, and flight_recorder.jsonl under
-//       --data-dir, and --log-json/--chrome-trace/--metrics-out emit
-//       their artifacts on both exit paths. --slow-request S (default 1)
-//       sets the Warn threshold for slow protocol requests.
+//       --telemetry-every 0, it maintains metrics_timeseries.jsonl (its
+//       heartbeat, with the service gauges refreshed every period) and
+//       flight_recorder.jsonl under --data-dir, and
+//       --log-json/--chrome-trace/--metrics-out emit their artifacts on
+//       both exit paths. --slow-request S (default 1) sets the Warn
+//       threshold for slow protocol requests.
 //       Resilience knobs: --lease-seconds S checkpoints-and-evicts
 //       sessions idle past the lease (0 = sessions live forever);
 //       --client-rate R / --client-burst B token-bucket each connection
@@ -60,9 +64,9 @@
 //       stamping on mutating ops) until --deadline seconds (default 10).
 //
 // Live telemetry (experiment): unless --telemetry-every 0, a journaled
-// run continuously maintains three files in <run-dir>:
-//   status.json               atomic heartbeat (progress, ETA, gauges)
-//   metrics_timeseries.jsonl  one metrics sample appended per period
+// run continuously maintains two files in <run-dir>:
+//   metrics_timeseries.jsonl  one metrics sample appended per period —
+//                             the heartbeat `status` reads
 //   flight_recorder.jsonl     ring of the last events at ALL severities,
 //                             dumped on SIGINT/SIGTERM, watchdog hangs,
 //                             search aborts, PT_REQUIRE failures, and
@@ -173,9 +177,9 @@ struct Args {
   bool guard = false;       ///< surrogate-trust guard on RS_p / RS_b
   double guard_floor = 0.2; ///< trust floor (GuardOptions::floor)
   std::size_t guard_window = 25;  ///< trust window (GuardOptions::window)
-  /// Live-telemetry cadence of journaled runs (status.json heartbeat,
-  /// metrics time-series tick, periodic flight-recorder dump). 0
-  /// disables all three — no threads, no files.
+  /// Live-telemetry cadence of journaled runs and the daemon (metrics
+  /// time-series tick, periodic flight-recorder dump, and the daemon's
+  /// service-gauge refresh). 0 disables them — no thread, no files.
   double telemetry_every = 1.0;
   /// `status`: heartbeat age beyond which a run counts as dead.
   double stale_after = 10.0;
@@ -343,7 +347,7 @@ class ObsSession {
       scoped_recorder_ =
           std::make_unique<obs::ScopedFlightRecorder>(*recorder_);
       obs::MetricsSampler::Options so;
-      so.path = telemetry_dir + "/metrics_timeseries.jsonl";
+      so.path = telemetry_dir + "/" + std::string(obs::kTimeseriesFile);
       so.period_seconds = a.telemetry_every;
       so.on_tick = [] { obs::dump_flight_recorder("periodic"); };
       sampler_ = std::make_unique<obs::MetricsSampler>(std::move(so));
@@ -616,7 +620,6 @@ int cmd_experiment(const Args& a) {
   jopt.threads = a.threads;
   jopt.rs_checkpoint_every = a.ckpt_every;
   jopt.cancel = shutdown_token();
-  jopt.status_every_seconds = a.telemetry_every;
   PT_REQUIRE(!jopt.run_dir.empty(),
              "experiment requires --run-dir <dir> (or --resume <dir>)");
 
@@ -805,8 +808,6 @@ int cmd_serve(const Args& a) {
   }
   service::ServeOptions sv;
   sv.status_every_seconds = a.telemetry_every;
-  if (a.telemetry_every > 0.0 && !a.data_dir.empty())
-    sv.status_path = a.data_dir + "/server_status.json";
   sv.protocol.slow_request_seconds = a.slow_request;
   // Exactly-once survives restarts: the reply cache lives next to the
   // rest of the service state and is reloaded by the next serve.

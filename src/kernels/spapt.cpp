@@ -128,6 +128,7 @@ SpaptProblemPtr make_mm(std::int64_t n) {
       {1, {idx(0), idx(2)}, false},  // A[i][k]
       {2, {idx(2), idx(1)}, false},  // B[k][j]
   };
+  s.text = "C[i][j] = C[i][j] + A[i][k] * B[k][j];";
   nest.stmts = {s};
   nest.compiler_tilable = true;
   nest.outer_parallel = true;
@@ -160,6 +161,7 @@ SpaptProblemPtr make_atax(std::int64_t n) {
         {1, {idx(1)}, false},          // x[j]
         {2, {idx(0)}, true},           // tmp[i] (accumulator)
     };
+    s.text = "tmp[i] = tmp[i] + A[i][j] * x[j];";
     p1.stmts = {s};
   }
   p1.compiler_tilable = true;
@@ -180,6 +182,7 @@ SpaptProblemPtr make_atax(std::int64_t n) {
         {2, {idx(1)}, false},          // y[j] read
         {2, {idx(1)}, true},           // y[j] write
     };
+    s.text = "y[j] = y[j] + A[i][j] * tmp[i];";
     p2.stmts = {s};
   }
   p2.compiler_tilable = true;
@@ -213,6 +216,7 @@ SpaptProblemPtr make_cor(std::int64_t n) {
         {1, {idx(1)}, false},
         {2, {idx(1)}, false},
     };
+    s.text = "data[i][j] = (data[i][j] - mean[j]) / stddev[j];";
     p1.stmts = {s};
   }
   p1.compiler_tilable = true;
@@ -233,6 +237,7 @@ SpaptProblemPtr make_cor(std::int64_t n) {
         {1, {idx(2), idx(0)}, false},  // data[i][j1]
         {1, {idx(2), idx(1)}, false},  // data[i][j2]
     };
+    s.text = "symmat[j1][j2] = symmat[j1][j2] + data[i][j1] * data[i][j2];";
     p2.stmts = {s};
   }
   p2.compiler_tilable = false;  // triangular bounds defeat auto-tiling
@@ -272,6 +277,7 @@ SpaptProblemPtr make_lu(std::int64_t n) {
       {0, {idx(1), idx(0)}, true},   // A[i][k] write
       {0, {idx(0), idx(0)}, false},  // A[k][k]
   };
+  div.text = "A[i][k] = A[i][k] / A[k][k];";
   Statement upd;
   upd.depth = 3;
   upd.flops = 2.0;
@@ -281,6 +287,7 @@ SpaptProblemPtr make_lu(std::int64_t n) {
       {0, {idx(1), idx(0)}, false},  // A[i][k]
       {0, {idx(0), idx(2)}, false},  // A[k][j]
   };
+  upd.text = "A[i][j] = A[i][j] - A[i][k] * A[k][j];";
   nest.stmts = {div, upd};
   nest.compiler_tilable = false;  // triangular, loop-carried on k
   nest.outer_parallel = false;    // k is inherently sequential

@@ -168,8 +168,11 @@ void MetricsRegistry::reset() {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Intentionally leaked, like EvalWatchdog::global(): detached threads
+  // (the watchdog monitor) may still add to a counter after static
+  // destructors run.
+  static MetricsRegistry* registry = new MetricsRegistry();
+  return *registry;
 }
 
 MetricsRegistry& MetricsRegistry::current() {

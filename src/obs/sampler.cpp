@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 
 #include "obs/event.hpp"
 #include "obs/json.hpp"
@@ -42,9 +43,15 @@ std::int64_t current_pid() {
 MetricsSampler::MetricsSampler(Options options)
     : options_(std::move(options)) {
   options_.period_seconds = std::max(0.01, options_.period_seconds);
+  // A writer killed mid-append leaves its last line unterminated; end it
+  // so the anchor row below starts a line of its own.
+  std::ifstream prev(options_.path, std::ios::binary);
+  const bool torn = prev.seekg(-1, std::ios::end) && prev.get() != '\n';
+  prev.close();
   out_.open(options_.path, std::ios::app);
   PT_REQUIRE(out_.good(),
              "cannot open metrics time-series for append: " + options_.path);
+  if (torn) out_ << "\n";
   sample_now();  // anchor row: rates start from here, not process start
   thread_ = std::thread([this] { run(); });
 }
@@ -166,6 +173,44 @@ std::string MetricsSampler::render_row(
   }
   out += "}}";
   return out;
+}
+
+std::optional<json::Value> read_last_timeseries_row(
+    const std::string& path) {
+  try {
+    std::ifstream is(path, std::ios::binary);
+    if (!is) return std::nullopt;
+    const std::uintmax_t size = std::filesystem::file_size(path);
+    for (std::uintmax_t window = 64 << 10;; window *= 2) {
+      const std::uintmax_t start = size > window ? size - window : 0;
+      std::string tail(static_cast<std::size_t>(size - start), '\0');
+      is.seekg(static_cast<std::streamoff>(start));
+      if (!is.read(tail.data(), static_cast<std::streamsize>(tail.size())))
+        return std::nullopt;
+      // A line is complete once its newline is written; whatever follows
+      // the last newline is still being appended, or was torn by a kill.
+      std::size_t end = tail.rfind('\n');
+      while (end != std::string::npos) {
+        const std::size_t nl = end == 0 ? std::string::npos
+                                        : tail.rfind('\n', end - 1);
+        if (nl == std::string::npos && start > 0) break;  // cut by the window
+        const std::size_t begin = nl == std::string::npos ? 0 : nl + 1;
+        try {
+          json::Value row =
+              json::Value::parse(std::string_view(tail).substr(
+                  begin, end - begin));
+          const json::Value* t_wall = row.find("t_wall");
+          if (t_wall != nullptr && t_wall->is_number()) return row;
+        } catch (const Error&) {
+          // A torn row, terminated by the next writer: keep looking.
+        }
+        end = nl;
+      }
+      if (start == 0) return std::nullopt;
+    }
+  } catch (const std::exception&) {
+    return std::nullopt;  // vanished or unreadable mid-read
+  }
 }
 
 }  // namespace portatune::obs

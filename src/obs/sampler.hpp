@@ -24,6 +24,10 @@
 // journaled-run telemetry uses it to piggyback the flight-recorder's
 // periodic dump on the same thread, so a SIGKILL'd run leaves both a
 // time-series and a black box at most one period old.
+//
+// The series is also the process heartbeat: read_last_timeseries_row()
+// gives `portatune_cli status` the newest row — its age says whether the
+// writer is alive, its gauges and rates say what it is doing.
 #pragma once
 
 #include <condition_variable>
@@ -32,12 +36,19 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace portatune::obs {
+
+/// The conventional file name of the series inside a run or data dir.
+inline constexpr std::string_view kTimeseriesFile =
+    "metrics_timeseries.jsonl";
 
 class MetricsSampler {
  public:
@@ -54,7 +65,9 @@ class MetricsSampler {
 
   /// Opens the file (appending; the parent directory must exist), writes
   /// an immediate first row to anchor the series, and starts the thread.
-  /// Throws portatune::Error when the file cannot be opened.
+  /// A torn final line left by a killed writer is terminated first, so it
+  /// cannot swallow the anchor row. Throws portatune::Error when the file
+  /// cannot be opened.
   explicit MetricsSampler(Options options);
   /// Stops the thread and writes one final row, so even a sub-period run
   /// ends with a complete sample.
@@ -92,5 +105,12 @@ class MetricsSampler {
   bool stop_ = false;
   std::thread thread_;
 };
+
+/// The newest complete row of a time-series file. Only a bounded tail is
+/// read (widened while it holds no complete row), so the cost does not
+/// grow with the run. A torn final line — a SIGKILL mid-append — is
+/// skipped, so after a resume the row is the newest pid's. nullopt when
+/// the file is missing or holds no complete row; never throws.
+std::optional<json::Value> read_last_timeseries_row(const std::string& path);
 
 }  // namespace portatune::obs

@@ -19,7 +19,7 @@
 //
 // Observability: hits/misses/insertions/evictions are counted locally
 // and published to the process metrics registry (service.cache.*), so
-// the PR 7 sampler/status.json sees cache traffic live.
+// the metrics time-series and the `stats` op see cache traffic live.
 #pragma once
 
 #include <cstdint>

@@ -21,7 +21,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
-#include "support/atomic_file.hpp"
 #include "support/span_context.hpp"
 
 namespace portatune::service {
@@ -111,77 +110,6 @@ bool flush_client(Client& c, obs::Counter* bytes_out) {
   return true;
 }
 
-/// Render the heartbeat document. Schema `portatune_server_status` v1 —
-/// the per-op table is distilled from the live registry snapshot so a
-/// reader gets rates and tails without speaking the protocol.
-std::string render_status(TuningService& svc, const std::string& socket_path,
-                          const ServiceProtocol& protocol,
-                          std::size_t clients_connected) {
-  Members m;
-  m.emplace_back("schema", Value::make_string("portatune_server_status"));
-  m.emplace_back("version", Value::make_number(1.0));
-  m.emplace_back("pid",
-                 Value::make_number(static_cast<double>(::getpid())));
-  m.emplace_back("t_wall", Value::make_number(obs::wall_unix_now()));
-  m.emplace_back("uptime_seconds", Value::make_number(obs::mono_now()));
-  m.emplace_back("socket", Value::make_string(socket_path));
-  m.emplace_back(
-      "clients_connected",
-      Value::make_number(static_cast<double>(clients_connected)));
-  m.emplace_back("requests_total",
-                 Value::make_number(
-                     static_cast<double>(protocol.requests_handled())));
-  std::size_t open = 0, closed = 0;
-  for (const SessionInfo& s : svc.sessions()) (s.closed ? closed : open)++;
-  m.emplace_back("sessions_open",
-                 Value::make_number(static_cast<double>(open)));
-  m.emplace_back("sessions_closed",
-                 Value::make_number(static_cast<double>(closed)));
-  m.emplace_back(
-      "store_entries",
-      Value::make_number(static_cast<double>(svc.store().size())));
-  const EvalCacheStats cs = svc.cache().stats();
-  Members cache;
-  cache.emplace_back("hits",
-                     Value::make_number(static_cast<double>(cs.hits)));
-  cache.emplace_back("misses",
-                     Value::make_number(static_cast<double>(cs.misses)));
-  cache.emplace_back("size",
-                     Value::make_number(static_cast<double>(cs.size)));
-  m.emplace_back("cache", Value::make_object(std::move(cache)));
-
-  const obs::MetricsSnapshot snap =
-      obs::MetricsRegistry::current().snapshot();
-  const auto counter_value = [&](const std::string& name) -> double {
-    for (const auto& [n, v] : snap.counters)
-      if (n == name) return static_cast<double>(v);
-    return 0.0;
-  };
-  Members ops;
-  for (const obs::HistogramSnapshot& h : snap.histograms) {
-    const std::string prefix = "server.op.";
-    const std::string suffix = ".latency";
-    if (h.count == 0 || h.name.rfind(prefix, 0) != 0 ||
-        h.name.size() <= prefix.size() + suffix.size() ||
-        h.name.compare(h.name.size() - suffix.size(), suffix.size(),
-                       suffix) != 0)
-      continue;
-    const std::string op = h.name.substr(
-        prefix.size(), h.name.size() - prefix.size() - suffix.size());
-    Members o;
-    o.emplace_back("count",
-                   Value::make_number(static_cast<double>(h.count)));
-    o.emplace_back("errors",
-                   Value::make_number(counter_value(prefix + op + ".errors")));
-    o.emplace_back("p50_seconds", Value::make_number(h.p50));
-    o.emplace_back("p95_seconds", Value::make_number(h.p95));
-    o.emplace_back("p99_seconds", Value::make_number(h.p99));
-    ops.emplace_back(op, Value::make_object(std::move(o)));
-  }
-  m.emplace_back("ops", Value::make_object(std::move(ops)));
-  return Value::make_object(std::move(m)).dump() + "\n";
-}
-
 }  // namespace
 
 int serve_unix_socket(TuningService& svc, const std::string& socket_path,
@@ -219,28 +147,8 @@ int serve_unix_socket(TuningService& svc, const std::string& socket_path,
   std::vector<Client> clients;
   bool shutdown_requested = false;
 
-  const bool heartbeat =
-      !opt.status_path.empty() && opt.status_every_seconds > 0.0;
-  double last_status = -1e18;  // first loop iteration writes immediately
+  double last_publish = -1e18;  // the first iteration publishes
   double last_lease = obs::mono_now();
-  const auto write_status = [&] {
-    try {
-      atomic_write_file(opt.status_path,
-                        render_status(svc, socket_path, protocol,
-                                      clients.size()));
-    } catch (const std::exception& e) {
-      // Heartbeat is advisory; a full disk must not kill the server —
-      // but the operator should see the degradation.
-      if (telemetry)
-        obs::MetricsRegistry::current()
-            .counter("server.status_write_failures")
-            .add(1);
-      if (obs::enabled(obs::Severity::Warn))
-        obs::emit(obs::make_instant(obs::Severity::Warn,
-                                    "server.status_write_failed", "service",
-                                    {{"error", e.what()}}));
-    }
-  };
 
   const auto teardown = [&] {
     // Deliver any computed-but-unsent replies first: a reply lost at
@@ -258,7 +166,6 @@ int serve_unix_socket(TuningService& svc, const std::string& socket_path,
     protocol.persist_state();
     svc.publish_metrics();
     if (telemetry) wire.clients_connected->set(0.0);
-    if (heartbeat) write_status();  // final state, clients_connected = 0
   };
 
   while (!shutdown_requested) {
@@ -267,12 +174,13 @@ int serve_unix_socket(TuningService& svc, const std::string& socket_path,
       teardown();
       return 3;  // interrupted but resumable, like the run orchestrator
     }
-    if (heartbeat) {
+    // All the periodic publish does: refresh the service gauges, so the
+    // metrics sampler's rows carry current ones without a status op.
+    if (opt.status_every_seconds > 0.0) {
       const double now = obs::mono_now();
-      if (now - last_status >= opt.status_every_seconds) {
-        last_status = now;
+      if (now - last_publish >= opt.status_every_seconds) {
+        last_publish = now;
         svc.publish_metrics();
-        write_status();
       }
     }
     if (opt.lease_seconds > 0.0) {

@@ -26,12 +26,12 @@
 //   server.lines_rejected                              counter (oversized)
 //   server.poll.wait_seconds                           histogram
 //
-// and, when `ServeOptions::status_path` is set, writes an atomic
-// `server_status.json` heartbeat every `status_every_seconds` (schema
-// `portatune_server_status` v1: pid, uptime, client/request totals,
-// session/store/cache summary, and a per-op count/errors/p50/p95/p99
-// table) — the service twin of the run orchestrator's status file, and
-// what `portatune_cli status` reads when the daemon is unreachable.
+// and every `status_every_seconds` refreshes the service gauges
+// (TuningService::publish_metrics), so the rows a metrics sampler
+// appends carry current session/store/cache state. The daemon's
+// heartbeat is that sampler's time-series (`portatune_cli serve` runs one
+// under --data-dir); a live view comes from the `stats` op (`status
+// --socket`).
 //
 // Defence: a line longer than `max_line_bytes` (complete or still
 // unterminated) answers {"ok":false,"error":...} and closes that client —
@@ -68,10 +68,8 @@
 namespace portatune::service {
 
 struct ServeOptions {
-  /// Heartbeat period; <= 0 disables the status file entirely.
+  /// Period of the service-gauge refresh; <= 0 disables it.
   double status_every_seconds = 1.0;
-  /// Where the heartbeat goes (atomically replaced). Empty = disabled.
-  std::string status_path;
   /// Longest accepted request line (bytes, newline excluded).
   std::size_t max_line_bytes = 1 << 20;
   /// Sessions idle longer than this are checkpointed and evicted by the

@@ -1,5 +1,6 @@
 #include "tuner/persistence.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -293,6 +294,38 @@ SearchCheckpoint load_checkpoint_csv(const std::string& path,
   std::ifstream is(path);
   PT_REQUIRE(is.good(), "cannot open checkpoint file: " + path);
   return load_checkpoint_csv(is, space);
+}
+
+std::optional<CheckpointSummary> summarize_checkpoint_csv(
+    const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) return std::nullopt;
+  try {
+    const std::string content = read_all(is);
+    if (content.rfind("# portatune-checkpoint v3,", 0) != 0)
+      return std::nullopt;
+    std::istringstream in(
+        strip_verified_checksum_footer(content, "checkpoint"));
+    std::string line;
+    do {  // the magic and metadata rows precede the column header
+      if (!std::getline(in, line)) return std::nullopt;
+    } while (line.rfind("# ", 0) == 0);
+    // The columns end with seconds,elapsed,draw_index,wall_unix.
+    const std::size_t columns = split_csv(line).size();
+    if (columns < 4) return std::nullopt;
+    CheckpointSummary out;
+    while (std::getline(in, line)) {
+      if (line.empty()) continue;
+      const auto cells = split_csv(line);
+      if (cells.size() != columns) return std::nullopt;
+      out.best_seconds =
+          std::min(out.best_seconds, std::stod(cells[columns - 4]));
+      ++out.rows;
+    }
+    return out;
+  } catch (const std::exception&) {
+    return std::nullopt;  // checksum mismatch or a malformed number
+  }
 }
 
 }  // namespace portatune::tuner

@@ -42,6 +42,8 @@
 #pragma once
 
 #include <iosfwd>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "tuner/random_search.hpp"
@@ -85,5 +87,17 @@ SearchCheckpoint load_checkpoint_csv(std::istream& is,
 
 SearchCheckpoint load_checkpoint_csv(const std::string& path,
                                      const ParamSpace& space);
+
+/// What a status reader needs of a checkpoint file, without its
+/// ParamSpace: the data rows and their minimum `seconds`.
+struct CheckpointSummary {
+  std::size_t rows = 0;
+  double best_seconds = std::numeric_limits<double>::infinity();
+};
+
+/// Summarize a checkpoint file once its checksum footer verifies. A
+/// missing, unreadable or corrupt file yields nullopt; never throws.
+std::optional<CheckpointSummary> summarize_checkpoint_csv(
+    const std::string& path);
 
 }  // namespace portatune::tuner

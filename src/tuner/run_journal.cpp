@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "obs/event.hpp"
+#include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "support/atomic_file.hpp"
 #include "support/checksum.hpp"
@@ -15,7 +16,6 @@
 #include "support/hash.hpp"
 #include "support/thread_pool.hpp"
 #include "tuner/persistence.hpp"
-#include "tuner/run_status.hpp"
 
 namespace portatune::tuner {
 
@@ -33,6 +33,14 @@ std::string cell_dir_name(std::size_t cell) {
   std::snprintf(buf, sizeof buf, "cell-%03zu", cell);
   return buf;
 }
+
+std::string phase_file(const std::string& run_dir, std::size_t cell,
+                       std::string_view phase) {
+  return run_dir + "/" + cell_dir_name(cell) + "/" + std::string(phase) +
+         ".csv";
+}
+
+constexpr std::string_view kPartialRsPhase = "source_rs.partial";
 
 void emit_cell_event(const char* name, std::size_t cell,
                      const std::string& label, const char* detail,
@@ -121,10 +129,30 @@ std::vector<RunJournal::Cell> RunJournal::parse_manifest(
 }
 
 RunJournal::Peek RunJournal::peek(const std::string& run_dir) {
+  std::vector<Cell> manifest = parse_manifest(run_dir);
   Peek out;
-  for (Cell& cell : parse_manifest(run_dir)) {
-    out.states.push_back(cell.state);
-    out.labels.push_back(std::move(cell.label));
+  out.cells.resize(manifest.size());
+  for (std::size_t i = 0; i < manifest.size(); ++i) {
+    Peek::Cell& cell = out.cells[i];
+    cell.state = manifest[i].state;
+    cell.label = std::move(manifest[i].label);
+    const auto add = [&cell](const CheckpointSummary& s) {
+      cell.evals += s.rows;
+      cell.best_seconds = std::min(cell.best_seconds, s.best_seconds);
+    };
+    for (std::size_t p = 0; p < kNumExperimentPhases; ++p) {
+      if (const auto s = summarize_checkpoint_csv(
+              phase_file(run_dir, i, kExperimentPhases[p]))) {
+        ++cell.phases_done;
+        add(*s);
+      } else if (p == 0) {
+        // The in-flight source RS; its phase file, once written,
+        // supersedes the snapshot, so no evaluation counts twice.
+        if (const auto partial = summarize_checkpoint_csv(
+                phase_file(run_dir, i, kPartialRsPhase)))
+          add(*partial);
+      }
+    }
   }
   return out;
 }
@@ -191,11 +219,11 @@ std::string RunJournal::cell_dir(std::size_t cell) const {
 
 std::string RunJournal::phase_path(std::size_t cell,
                                    const std::string& phase) const {
-  return cell_dir(cell) + "/" + phase + ".csv";
+  return phase_file(run_dir_, cell, phase);
 }
 
 std::string RunJournal::partial_rs_path(std::size_t cell) const {
-  return cell_dir(cell) + "/source_rs.partial.csv";
+  return phase_file(run_dir_, cell, kPartialRsPhase);
 }
 
 void RunJournal::mark_running(std::size_t cell) {
@@ -263,29 +291,13 @@ std::vector<TransferExperimentResult> run_transfer_experiments_journaled(
   std::size_t restored = 0;
   for (std::size_t i = 0; i < journal.size(); ++i)
     if (journal.state(i) == CellState::Done) ++restored;
-
-  // Live status telemetry (run_status.hpp): a shared progress board the
-  // phase hooks update, and a heartbeat thread rendering it into
-  // status.json. Entirely absent when status_every_seconds == 0.
-  std::unique_ptr<RunStatusBoard> board;
-  std::unique_ptr<RunStatusWriter> status_writer;
-  if (opt.status_every_seconds > 0.0) {
-    std::vector<std::string> board_labels;
-    board_labels.reserve(jobs.size());
-    for (const ExperimentJob& job : jobs) board_labels.push_back(job.label);
-    // Budget per cell: six searches, each capped at the cell's nmax. The
-    // grid shares one nmax in practice; a heterogeneous grid only skews
-    // the ETA, never correctness.
-    board = std::make_unique<RunStatusBoard>(
-        std::move(board_labels),
-        kNumExperimentPhases * jobs.front().settings.max_evals);
-    for (std::size_t i = 0; i < journal.size(); ++i)
-      if (journal.state(i) == CellState::Done)
-        board->set_state(i, CellState::Done);
-    status_writer = std::make_unique<RunStatusWriter>(
-        *board, opt.run_dir, opt.status_every_seconds);
-  }
-  RunStatusBoard* const bp = board.get();
+  // The budget `status` measures progress against: six searches per
+  // cell, each capped at the cell's max_evals.
+  double evals_total = 0.0;
+  for (const ExperimentJob& job : jobs)
+    evals_total += static_cast<double>(kNumExperimentPhases *
+                                       job.settings.max_evals);
+  obs::MetricsRegistry::current().gauge("run.evals_total").set(evals_total);
 
   const auto run_job = [&](std::size_t i) {
     const ExperimentJob& job = jobs[i];
@@ -309,13 +321,6 @@ std::vector<TransferExperimentResult> run_transfer_experiments_journaled(
             load_checkpoint_csv(journal.phase_path(i, kExperimentPhases[p]),
                                 space)
                 .trace;
-      if (bp != nullptr) {
-        // Credit the restored work to the board so the run-wide eval
-        // count and ETA don't treat the cell as still outstanding.
-        for (std::size_t p = 0; p < kNumExperimentPhases; ++p)
-          bp->phase_finished(i, slots[p]->size(), slots[p]->best_seconds());
-        bp->set_state(i, CellState::Done);
-      }
       finalize_transfer_result(r);
       out[i] = std::move(r);
       return;
@@ -325,7 +330,6 @@ std::vector<TransferExperimentResult> run_transfer_experiments_journaled(
       return;
     }
     journal.mark_running(i);
-    if (bp != nullptr) bp->set_state(i, CellState::Running);
     EvaluatorPtr source = job.make_source();
     EvaluatorPtr target = job.make_target();
     const ParamSpace& space = source->space();
@@ -333,34 +337,24 @@ std::vector<TransferExperimentResult> run_transfer_experiments_journaled(
     ExperimentSettings settings = job.settings;
     settings.cancel = opt.cancel;
     settings.hooks.restore_phase =
-        [&journal, &space, i, bp](const std::string& phase)
+        [&journal, &space, i](const std::string& phase)
         -> std::optional<SearchTrace> {
-      // restore_phase fires at every phase boundary, restored or not —
-      // which makes it the board's "phase started" signal too.
-      if (bp != nullptr) bp->phase_started(i, phase);
       const std::string path = journal.phase_path(i, phase);
       if (!file_exists(path)) return std::nullopt;
-      SearchTrace trace = load_checkpoint_csv(path, space).trace;
-      if (bp != nullptr)
-        bp->phase_finished(i, trace.size(), trace.best_seconds());
-      return trace;
+      return load_checkpoint_csv(path, space).trace;
     };
-    settings.hooks.phase_done = [&journal, &space, i, bp](
+    settings.hooks.phase_done = [&journal, &space, i](
                                     const std::string& phase,
                                     const SearchTrace& trace) {
       SearchCheckpoint snap;
       snap.trace = trace;
       snap.draws = trace.size();  // never resumed; recorded for the format
       save_checkpoint_csv(journal.phase_path(i, phase), snap, space);
-      if (bp != nullptr)
-        bp->phase_finished(i, trace.size(), trace.best_seconds());
     };
     settings.checkpoint_every = opt.rs_checkpoint_every;
-    settings.on_checkpoint = [&journal, &space, i,
-                              bp](const SearchCheckpoint& snap) {
+    settings.on_checkpoint = [&journal, &space,
+                              i](const SearchCheckpoint& snap) {
       save_checkpoint_csv(journal.partial_rs_path(i), snap, space);
-      if (bp != nullptr)
-        bp->rs_progress(i, snap.trace.size(), snap.trace.best_seconds());
     };
     // A partial source RS resumes only when the phase itself is not
     // restored whole from its file.
@@ -379,7 +373,6 @@ std::vector<TransferExperimentResult> run_transfer_experiments_journaled(
       return;
     }
     journal.mark_done(i, journal.cell_bundle_checksum(i));
-    if (bp != nullptr) bp->set_state(i, CellState::Done);
     completed.fetch_add(1, std::memory_order_relaxed);
   };
 

@@ -10,6 +10,12 @@
 //       pruned.csv ...           reason all preserved)
 //       source_rs.partial.csv    mid-flight snapshot of the long RS phase
 //
+// Liveness is not the journal's job. A caller that wants `portatune_cli
+// status --run-dir` to tell a live run from a dead one runs an
+// obs::MetricsSampler on <run-dir>/metrics_timeseries.jsonl for the
+// run's lifetime (the CLI's experiment command does); its last row is the
+// heartbeat, and the runner's `run.evals_total` gauge gives the budget.
+//
 // Manifest format (checksummed like every other persistence artifact):
 //
 //   # portatune-journal v1,<ncells>
@@ -36,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -80,14 +87,23 @@ class RunJournal {
 
   static bool exists(const std::string& run_dir);
 
-  /// Read-only manifest snapshot for status tooling: parses journal.csv
-  /// without rewriting it or demoting cells (open() does both), so a
-  /// reader can inspect a *live* run another process owns. States are
-  /// reported exactly as recorded — a `running` row may mean in-flight
-  /// or crashed; pair with the heartbeat (run_status.hpp) to tell which.
+  /// Read-only snapshot for status tooling: parses journal.csv without
+  /// rewriting it or demoting cells (open() does both), so a reader can
+  /// inspect a *live* run another process owns. States are reported
+  /// exactly as recorded — a `running` row may mean in-flight or crashed;
+  /// pair with the heartbeat (run_status.hpp) to tell which. Progress
+  /// comes from the phase files: a missing or corrupt one counts as
+  /// absent, and while source_rs.csv is absent the partial snapshot
+  /// counts as the in-flight source RS.
   struct Peek {
-    std::vector<CellState> states;
-    std::vector<std::string> labels;
+    struct Cell {
+      CellState state = CellState::Pending;
+      std::string label;
+      std::size_t phases_done = 0;  ///< intact phase files
+      std::size_t evals = 0;        ///< their rows (+ the partial RS)
+      double best_seconds = std::numeric_limits<double>::infinity();
+    };
+    std::vector<Cell> cells;
   };
   static Peek peek(const std::string& run_dir);
 
@@ -147,10 +163,6 @@ struct JournaledRunOptions {
   /// at a window boundary with their journal row left `running`; the next
   /// resume demotes them to pending and restores their completed phases.
   CancellationToken cancel{};
-  /// Heartbeat cadence of the live status file (<run-dir>/status.json,
-  /// see run_status.hpp). 0 keeps the telemetry fully dormant: no board,
-  /// no writer thread, no file.
-  double status_every_seconds = 0.0;
 };
 
 struct JournaledRunSummary {
@@ -164,7 +176,9 @@ struct JournaledRunSummary {
 /// cell's phases are persisted as they complete, done cells are restored
 /// (and re-finalized) instead of re-run, and cancellation leaves a
 /// resumable journal behind. Results come back in job order; interrupted
-/// cells are default-constructed (check summary->interrupted).
+/// cells are default-constructed (check summary->interrupted). Sets the
+/// `run.evals_total` gauge to the run's budget: six phases times each
+/// cell's max_evals.
 std::vector<TransferExperimentResult> run_transfer_experiments_journaled(
     std::span<const ExperimentJob> jobs, const JournaledRunOptions& opt,
     JournaledRunSummary* summary = nullptr);

@@ -1,21 +1,17 @@
 #include "tuner/run_status.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "obs/event.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "support/atomic_file.hpp"
+#include "obs/sampler.hpp"
 #include "support/error.hpp"
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
+#include "tuner/run_journal.hpp"
 
 namespace portatune::tuner {
 
@@ -26,216 +22,6 @@ std::string render_double(double v) {
   std::snprintf(buf, sizeof buf, "%.9g", v);
   return buf;
 }
-
-/// Timestamps need fixed-point microseconds: %.9g collapses epoch
-/// seconds (~1.7e9) to ~10-second granularity.
-std::string render_stamp(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  return buf;
-}
-
-std::int64_t current_pid() {
-#ifndef _WIN32
-  return static_cast<std::int64_t>(getpid());
-#else
-  return 0;
-#endif
-}
-
-double find_gauge(const obs::MetricsSnapshot& m, std::string_view name,
-                  double fallback) {
-  for (const auto& [key, value] : m.gauges)
-    if (key == name) return value;
-  return fallback;
-}
-
-/// `null` for values that have no defined reading yet (no evals, no
-/// throughput history) — readers must not mistake 0 or inf for data.
-std::string number_or_null(double v) {
-  if (!std::isfinite(v)) return "null";
-  return render_double(v);
-}
-
-}  // namespace
-
-RunStatusBoard::RunStatusBoard(std::vector<std::string> labels,
-                               std::size_t evals_per_cell)
-    : partial_(labels.size(), 0), evals_per_cell_(evals_per_cell) {
-  cells_.reserve(labels.size());
-  for (std::string& label : labels) {
-    Cell cell;
-    cell.label = std::move(label);
-    cells_.push_back(std::move(cell));
-  }
-}
-
-void RunStatusBoard::set_state(std::size_t cell, CellState state) {
-  std::lock_guard lock(mutex_);
-  cells_.at(cell).state = state;
-}
-
-void RunStatusBoard::phase_started(std::size_t cell,
-                                   const std::string& phase) {
-  std::lock_guard lock(mutex_);
-  cells_.at(cell).phase = phase;
-  partial_.at(cell) = 0;
-}
-
-void RunStatusBoard::phase_finished(std::size_t cell, std::size_t evals,
-                                    double best_seconds) {
-  std::lock_guard lock(mutex_);
-  Cell& c = cells_.at(cell);
-  ++c.phases_done;
-  c.evals_done += evals;
-  partial_.at(cell) = 0;
-  if (best_seconds < c.best_seconds) c.best_seconds = best_seconds;
-}
-
-void RunStatusBoard::rs_progress(std::size_t cell, std::size_t evals,
-                                 double best_seconds) {
-  std::lock_guard lock(mutex_);
-  Cell& c = cells_.at(cell);
-  partial_.at(cell) = evals;
-  if (best_seconds < c.best_seconds) c.best_seconds = best_seconds;
-}
-
-RunStatusBoard::Snapshot RunStatusBoard::snapshot() const {
-  std::lock_guard lock(mutex_);
-  Snapshot snap;
-  snap.cells = cells_;
-  snap.evals_per_cell = evals_per_cell_;
-  snap.evals_total = evals_per_cell_ * cells_.size();
-  for (std::size_t i = 0; i < snap.cells.size(); ++i) {
-    Cell& c = snap.cells[i];
-    c.evals_done += partial_[i];  // fold in the live phase's progress
-    snap.evals_done += c.evals_done;
-    if (c.best_seconds < snap.best_seconds)
-      snap.best_seconds = c.best_seconds;
-    switch (c.state) {
-      case CellState::Done: ++snap.done; break;
-      case CellState::Running: ++snap.running; break;
-      case CellState::Pending: ++snap.pending; break;
-    }
-  }
-  return snap;
-}
-
-std::string RunStatusWriter::status_path(const std::string& run_dir) {
-  return run_dir + "/status.json";
-}
-
-RunStatusWriter::RunStatusWriter(const RunStatusBoard& board,
-                                 std::string run_dir, double period_seconds)
-    : board_(board),
-      run_dir_(std::move(run_dir)),
-      period_seconds_(std::max(0.05, period_seconds)),
-      started_wall_(obs::wall_unix_now()) {
-  write_now();  // the run announces itself before the first cell starts
-  thread_ = std::thread([this] { run(); });
-}
-
-RunStatusWriter::~RunStatusWriter() {
-  {
-    std::lock_guard lock(stop_mutex_);
-    stop_ = true;
-  }
-  stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  // Final beat: the on-disk status must record the finished board, not
-  // whatever the last periodic tick happened to see.
-  try {
-    write_now();
-  } catch (const std::exception&) {
-    // Teardown must not throw for a status file.
-  }
-}
-
-void RunStatusWriter::run() {
-  std::unique_lock lock(stop_mutex_);
-  while (!stop_) {
-    const auto period = std::chrono::duration<double>(period_seconds_);
-    if (stop_cv_.wait_for(lock, period, [this] { return stop_; })) break;
-    lock.unlock();
-    try {
-      write_now();
-    } catch (const std::exception&) {
-      // A transient write failure skips one beat; the next tick retries.
-    }
-    lock.lock();
-  }
-}
-
-void RunStatusWriter::write_now() {
-  const RunStatusBoard::Snapshot snap = board_.snapshot();
-  const obs::MetricsSnapshot metrics =
-      obs::MetricsRegistry::current().snapshot();
-  const double now = obs::wall_unix_now();
-
-  double rate = 0.0;
-  {
-    std::lock_guard lock(beat_mutex_);
-    const double evals = static_cast<double>(snap.evals_done);
-    const double dt = now - last_beat_wall_;
-    if (last_beat_wall_ >= 0.0 && dt > 0.0) {
-      const double inst = std::max(0.0, evals - last_evals_) / dt;
-      // Smooth across beats so one slow evaluation doesn't whipsaw the
-      // ETA; seeded with the first observed rate rather than zero.
-      rate_ema_ = rate_ema_ > 0.0 ? 0.7 * rate_ema_ + 0.3 * inst : inst;
-    }
-    last_beat_wall_ = now;
-    last_evals_ = evals;
-    rate = rate_ema_;
-  }
-
-  const std::size_t remaining =
-      snap.evals_total > snap.evals_done
-          ? snap.evals_total - snap.evals_done
-          : 0;
-  const double eta =
-      remaining == 0
-          ? 0.0
-          : (rate > 1e-12 ? static_cast<double>(remaining) / rate
-                          : std::numeric_limits<double>::infinity());
-
-  std::string out = "{\"pid\":" + std::to_string(current_pid());
-  out += ",\"started_wall\":" + render_stamp(started_wall_);
-  out += ",\"heartbeat_wall\":" + render_stamp(now);
-  out += ",\"uptime_seconds\":" + render_double(now - started_wall_);
-  out += ",\"cells\":{\"total\":" + std::to_string(snap.cells.size());
-  out += ",\"done\":" + std::to_string(snap.done);
-  out += ",\"running\":" + std::to_string(snap.running);
-  out += ",\"pending\":" + std::to_string(snap.pending) + "}";
-  out += ",\"evals\":{\"done\":" + std::to_string(snap.evals_done);
-  out += ",\"total\":" + std::to_string(snap.evals_total) + "}";
-  out += ",\"best_seconds\":" + number_or_null(snap.best_seconds);
-  out += ",\"throughput_evals_per_sec\":" + render_double(rate);
-  out += ",\"eta_seconds\":" + number_or_null(eta);
-  out += ",\"pool\":{\"workers_busy\":" +
-         render_double(find_gauge(metrics, "pool.workers_busy", 0.0));
-  out += ",\"queue_depth\":" +
-         render_double(find_gauge(metrics, "pool.queue_depth", 0.0)) + "}";
-  out += ",\"guard\":{\"trust\":" +
-         render_double(find_gauge(metrics, "guard.trust", -1.0));
-  out += ",\"state\":" +
-         render_double(find_gauge(metrics, "guard.state", -1.0)) + "}";
-  out += ",\"cells_detail\":[";
-  for (std::size_t i = 0; i < snap.cells.size(); ++i) {
-    const RunStatusBoard::Cell& c = snap.cells[i];
-    if (i != 0) out += ",";
-    out += "{\"label\":\"" + obs::json::escape(c.label) + "\"";
-    out += ",\"state\":\"";
-    out += to_string(c.state);
-    out += "\",\"phase\":\"" + obs::json::escape(c.phase) + "\"";
-    out += ",\"phases_done\":" + std::to_string(c.phases_done);
-    out += ",\"evals_done\":" + std::to_string(c.evals_done);
-    out += ",\"best_seconds\":" + number_or_null(c.best_seconds) + "}";
-  }
-  out += "]}";
-  atomic_write_file(status_path(run_dir_), out);
-}
-
-namespace {
 
 std::string format_seconds(double s) {
   char buf[64];
@@ -249,17 +35,24 @@ std::string format_seconds(double s) {
   return buf;
 }
 
-/// Parse a file that a live writer may be atomically replacing. The
-/// rename is atomic so a reader always sees a complete document — but a
-/// pessimistic retry costs nothing and covers filesystems with weaker
-/// rename semantics.
-template <typename Fn>
-auto with_one_retry(Fn&& fn) {
-  try {
-    return fn();
-  } catch (const Error&) {
-    return fn();
-  }
+/// `v[key]` when both exist and it is a number, else nullptr.
+const obs::json::Value* number(const obs::json::Value* v,
+                               std::string_view key) {
+  const obs::json::Value* n = v != nullptr ? v->find(key) : nullptr;
+  return n != nullptr && n->is_number() ? n : nullptr;
+}
+
+/// Evaluations per second over the row's tick: the summed rates of the
+/// observed evaluators' `eval[.<role>].calls` counters. Restored phases
+/// call no evaluator, so they cannot inflate it.
+double eval_rate(const obs::json::Value* rates) {
+  double rate = 0.0;
+  if (rates != nullptr && rates->is_object())
+    for (const auto& [name, v] : rates->as_object())
+      if (name.starts_with("eval.") && name.ends_with(".calls") &&
+          v.is_number())
+        rate += v.as_number();
+  return rate;
 }
 
 }  // namespace
@@ -270,124 +63,106 @@ RunLiveness render_run_status(std::ostream& os, const std::string& run_dir,
              "'" + run_dir +
                  "' holds no run journal (journal.csv) — not a run "
                  "directory, or the run never started");
-  const RunJournal::Peek peek =
-      with_one_retry([&] { return RunJournal::peek(run_dir); });
+  RunJournal::Peek peek;
+  try {
+    peek = RunJournal::peek(run_dir);
+  } catch (const Error&) {
+    // The manifest is replaced atomically, so this cannot see a torn
+    // one; the retry covers filesystems with weaker rename semantics.
+    peek = RunJournal::peek(run_dir);
+  }
 
-  std::size_t done = 0, running = 0, pending = 0;
-  for (const CellState s : peek.states) {
-    switch (s) {
+  std::size_t done = 0, running = 0, pending = 0, evals = 0;
+  double best = std::numeric_limits<double>::infinity();
+  for (const RunJournal::Peek::Cell& cell : peek.cells) {
+    switch (cell.state) {
       case CellState::Done: ++done; break;
       case CellState::Running: ++running; break;
       case CellState::Pending: ++pending; break;
     }
+    evals += cell.evals;
+    best = std::min(best, cell.best_seconds);
   }
-  const bool all_done = done == peek.states.size();
+  const bool all_done = done == peek.cells.size();
 
-  obs::json::Value status;
-  bool have_status = false;
-  const std::string spath = RunStatusWriter::status_path(run_dir);
-  if (file_exists(spath)) {
-    try {
-      status = with_one_retry(
-          [&] { return obs::json::Value::parse(read_file(spath)); });
-      have_status = true;
-    } catch (const Error&) {
-      // A malformed heartbeat is treated as no heartbeat at all.
-    }
-  }
-
-  const double now = obs::wall_unix_now();
-  double heartbeat_age = std::numeric_limits<double>::infinity();
-  if (have_status)
-    if (const auto* hb = status.find("heartbeat_wall"); hb != nullptr)
-      heartbeat_age = now - hb->as_number();
+  const std::optional<obs::json::Value> last = obs::read_last_timeseries_row(
+      run_dir + "/" + std::string(obs::kTimeseriesFile));
+  const obs::json::Value* row = last ? &*last : nullptr;
+  const obs::json::Value* gauges = row ? row->find("gauges") : nullptr;
+  const double heartbeat_age =
+      row ? obs::wall_unix_now() - row->at("t_wall").as_number()
+          : std::numeric_limits<double>::infinity();
 
   RunLiveness liveness = RunLiveness::Dead;
   if (all_done)
     liveness = RunLiveness::Complete;
-  else if (have_status && heartbeat_age <= stale_after_seconds)
+  else if (row && heartbeat_age <= stale_after_seconds)
     liveness = RunLiveness::Running;
 
   os << "run:       " << run_dir << "\n";
-  os << "journal:   " << peek.states.size() << " cells — " << done
+  os << "journal:   " << peek.cells.size() << " cells — " << done
      << " done, " << running << " running, " << pending << " pending\n";
-  if (have_status) {
+  if (row) {
     os << "heartbeat: " << format_seconds(heartbeat_age) << " ago";
-    if (const auto* pid = status.find("pid"); pid != nullptr)
-      os << " (pid " << static_cast<std::int64_t>(pid->as_number());
-    if (const auto* up = status.find("uptime_seconds"); up != nullptr)
-      os << ", uptime " << format_seconds(up->as_number());
-    os << ")\n";
-    const auto* evals = status.find("evals");
-    if (evals != nullptr) {
-      const double edone = evals->at("done").as_number();
-      const double etotal = evals->at("total").as_number();
-      os << "progress:  evals " << static_cast<std::int64_t>(edone) << "/"
-         << static_cast<std::int64_t>(etotal);
-      if (etotal > 0.0) {
-        char pct[16];
-        std::snprintf(pct, sizeof pct, " (%.1f%%)",
-                      100.0 * edone / etotal);
-        os << pct;
-      }
-      if (const auto* best = status.find("best_seconds");
-          best != nullptr && best->is_number())
-        os << ", best " << render_double(best->as_number()) << " s";
-      if (const auto* rate = status.find("throughput_evals_per_sec");
-          rate != nullptr && rate->as_number() > 0.0) {
-        os << ", " << render_double(rate->as_number()) << " evals/s";
-        if (const auto* eta = status.find("eta_seconds");
-            eta != nullptr && eta->is_number() &&
-            liveness == RunLiveness::Running)
-          os << ", ETA " << format_seconds(eta->as_number());
-      }
-      os << "\n";
-    }
-    if (const auto* pool = status.find("pool"); pool != nullptr)
-      os << "pool:      " << pool->at("workers_busy").as_number()
-         << " workers busy, queue depth "
-         << pool->at("queue_depth").as_number() << "\n";
-    if (const auto* guard = status.find("guard");
-        guard != nullptr && guard->at("trust").as_number() >= 0.0)
-      os << "guard:     trust "
-         << render_double(guard->at("trust").as_number()) << ", state "
-         << guard->at("state").as_number() << "\n";
+    const obs::json::Value* pid = number(row, "pid");
+    const obs::json::Value* uptime = number(row, "t_mono");
+    if (pid != nullptr && uptime != nullptr)
+      os << " (pid " << static_cast<std::int64_t>(pid->as_number())
+         << ", uptime " << format_seconds(uptime->as_number()) << ")";
+    os << "\n";
   } else {
-    os << "heartbeat: none found (status.json missing — run predates "
-          "telemetry, was started with telemetry off, or died before the "
-          "first beat)\n";
+    os << "heartbeat: none found (" << obs::kTimeseriesFile
+       << " missing — run predates telemetry, was started with "
+          "telemetry off, or died before the first beat)\n";
   }
 
-  // Per-cell table: journal state is the ground truth; phase / eval
-  // detail comes from the heartbeat when its shape matches the journal.
-  const auto* detail =
-      have_status ? status.find("cells_detail") : nullptr;
-  const bool detail_ok = detail != nullptr && detail->is_array() &&
-                         detail->as_array().size() == peek.states.size();
+  const obs::json::Value* total = number(gauges, "run.evals_total");
+  os << "progress:  evals " << evals;
+  if (total != nullptr && total->as_number() > 0.0) {
+    char pct[40];
+    std::snprintf(pct, sizeof pct, "/%.0f (%.1f%%)", total->as_number(),
+                  100.0 * static_cast<double>(evals) / total->as_number());
+    os << pct;
+  }
+  if (std::isfinite(best)) os << ", best " << render_double(best) << " s";
+  if (const double rate = eval_rate(row ? row->find("rates") : nullptr);
+      rate > 0.0) {
+    os << ", " << render_double(rate) << " evals/s";
+    if (total != nullptr && liveness == RunLiveness::Running)
+      os << ", ETA "
+         << format_seconds(
+                std::max(0.0, total->as_number() -
+                                  static_cast<double>(evals)) /
+                rate);
+  }
+  os << "\n";
+  const obs::json::Value* busy = number(gauges, "pool.workers_busy");
+  const obs::json::Value* depth = number(gauges, "pool.queue_depth");
+  if (busy != nullptr && depth != nullptr)
+    os << "pool:      " << busy->as_number() << " workers busy, queue depth "
+       << depth->as_number() << "\n";
+  const obs::json::Value* trust = number(gauges, "guard.trust");
+  const obs::json::Value* state = number(gauges, "guard.state");
+  if (trust != nullptr && state != nullptr)
+    os << "guard:     trust " << render_double(trust->as_number())
+       << ", state " << state->as_number() << "\n";
+
   os << "cells:\n";
-  for (std::size_t i = 0; i < peek.states.size(); ++i) {
-    char idx[16];
-    std::snprintf(idx, sizeof idx, "  [%03zu] ", i);
-    os << idx;
-    char state[16];
-    std::snprintf(state, sizeof state, "%-8s", to_string(peek.states[i]));
-    os << state << peek.labels[i];
-    if (detail_ok) {
-      const obs::json::Value& d = detail->as_array()[i];
-      if (const auto* phase = d.find("phase");
-          phase != nullptr && !phase->as_string().empty() &&
-          peek.states[i] != CellState::Done)
-        os << "  phase=" << phase->as_string();
-      if (const auto* phases = d.find("phases_done"); phases != nullptr)
-        os << "  " << static_cast<std::int64_t>(phases->as_number())
-           << "/" << kNumExperimentPhases << " phases";
-      if (const auto* ev = d.find("evals_done"); ev != nullptr)
-        os << "  " << static_cast<std::int64_t>(ev->as_number())
-           << " evals";
-      if (const auto* best = d.find("best_seconds");
-          best != nullptr && best->is_number())
-        os << "  best=" << render_double(best->as_number()) << " s";
-    }
+  for (std::size_t i = 0; i < peek.cells.size(); ++i) {
+    const RunJournal::Peek::Cell& cell = peek.cells[i];
+    char head[48];
+    std::snprintf(head, sizeof head, "  [%03zu] %-8s", i,
+                  to_string(cell.state));
+    os << head << cell.label;
+    // Phases complete in protocol order: a running cell is inside the
+    // first one without a file.
+    if (cell.state == CellState::Running &&
+        cell.phases_done < kNumExperimentPhases)
+      os << "  phase=" << kExperimentPhases[cell.phases_done];
+    os << "  " << cell.phases_done << "/" << kNumExperimentPhases
+       << " phases  " << cell.evals << " evals";
+    if (std::isfinite(cell.best_seconds))
+      os << "  best=" << render_double(cell.best_seconds) << " s";
     os << "\n";
   }
 
@@ -399,7 +174,7 @@ RunLiveness render_run_status(std::ostream& os, const std::string& run_dir,
       os << "status:    RUNNING\n";
       break;
     case RunLiveness::Dead:
-      if (have_status)
+      if (row)
         os << "status:    DEAD — no heartbeat for "
            << format_seconds(heartbeat_age) << " (threshold "
            << format_seconds(stale_after_seconds)

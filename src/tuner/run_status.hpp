@@ -1,125 +1,35 @@
-// Live status heartbeat of a journaled run — the third leg of run
-// telemetry next to the metrics time-series and the flight recorder.
+// `portatune_cli status --run-dir d`: the read-only view of a journaled
+// run.
 //
-// A RunStatusBoard is the shared, thread-safe progress model the
-// journaled fan-out updates from its phase hooks: per-cell journal
-// state, the phase currently executing, evaluations done (completed
-// phases plus the live RS checkpoint), and the best time seen. A
-// RunStatusWriter renders the board — plus process vitals and the pool /
-// guard gauges of the metrics registry — into `<run-dir>/status.json`
-// every period, through atomic_write_file, so a concurrent reader
-// always sees a complete document and a crashed run leaves its last
-// heartbeat behind as evidence.
+// It reads what is finished from the run directory the journal already
+// keeps — journal.csv and the checksummed phase files, through
+// RunJournal::peek — and what is happening now from the last row of the
+// metrics time-series (<run-dir>/metrics_timeseries.jsonl), which the
+// process's obs::MetricsSampler appends every period: the row's age is
+// the heartbeat, its `run.evals_total` gauge the budget, its
+// `eval[.<role>].calls` rates the throughput, its pool and guard gauges
+// the live state.
 //
-// The reader half, render_run_status(), is what `portatune_cli status
-// --run-dir d` calls: strictly read-only (it never rewrites the journal
-// the way RunJournal::open() does), safe to run against a live
-// experiment, and able to tell three stories apart — running (fresh
-// heartbeat), complete (journal all done), and dead (stale or missing
-// heartbeat with unfinished cells → print the resume hint).
+// Strictly read-only (it never rewrites the journal the way
+// RunJournal::open() does), safe to run against a live experiment, and
+// able to tell three stories apart — running (fresh row), complete
+// (journal all done), and dead (stale or missing row with unfinished
+// cells → print the resume hint).
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
-#include <limits>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
-
-#include <condition_variable>
-
-#include "tuner/run_journal.hpp"
 
 namespace portatune::tuner {
-
-class RunStatusBoard {
- public:
-  RunStatusBoard(std::vector<std::string> labels,
-                 std::size_t evals_per_cell);
-
-  void set_state(std::size_t cell, CellState state);
-  /// A phase began executing (also called for phases restored whole —
-  /// pass the restored trace size straight to phase_finished after).
-  void phase_started(std::size_t cell, const std::string& phase);
-  void phase_finished(std::size_t cell, std::size_t evals,
-                      double best_seconds);
-  /// Mid-phase progress of the long source RS phase (absolute evals
-  /// within the phase, from the periodic checkpoint).
-  void rs_progress(std::size_t cell, std::size_t evals,
-                   double best_seconds);
-
-  struct Cell {
-    std::string label;
-    CellState state = CellState::Pending;
-    std::string phase;  ///< current / last phase ("" = not started)
-    std::size_t phases_done = 0;
-    std::size_t evals_done = 0;
-    double best_seconds = std::numeric_limits<double>::infinity();
-  };
-
-  struct Snapshot {
-    std::vector<Cell> cells;
-    std::size_t evals_per_cell = 0;
-    std::size_t evals_done = 0;
-    std::size_t evals_total = 0;
-    std::size_t done = 0, running = 0, pending = 0;
-    double best_seconds = std::numeric_limits<double>::infinity();
-  };
-  Snapshot snapshot() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<Cell> cells_;
-  /// Evaluations inside the currently running phase (folded into the
-  /// cell's evals_done on phase_finished).
-  std::vector<std::size_t> partial_;
-  std::size_t evals_per_cell_;
-};
-
-/// Background heartbeat: writes status.json every period and once more
-/// on destruction (the final beat records the finished state). Evals
-/// throughput is smoothed across beats and turned into an ETA.
-class RunStatusWriter {
- public:
-  RunStatusWriter(const RunStatusBoard& board, std::string run_dir,
-                  double period_seconds);
-  ~RunStatusWriter();
-
-  RunStatusWriter(const RunStatusWriter&) = delete;
-  RunStatusWriter& operator=(const RunStatusWriter&) = delete;
-
-  /// Write one beat synchronously (tests; the final beat).
-  void write_now();
-
-  static std::string status_path(const std::string& run_dir);
-
- private:
-  void run();
-
-  const RunStatusBoard& board_;
-  std::string run_dir_;
-  double period_seconds_;
-  double started_wall_;
-  std::mutex beat_mutex_;
-  double last_beat_wall_ = -1.0;
-  double last_evals_ = -1.0;
-  double rate_ema_ = 0.0;
-
-  std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 /// What `status --run-dir` concluded about a run directory.
 enum class RunLiveness { Running, Complete, Dead };
 
 /// Read-only status report of a run directory: journal summary,
-/// heartbeat freshness, per-cell progress table, and — for a dead run —
-/// the resume hint. A heartbeat older than `stale_after_seconds` (or
-/// missing entirely) with unfinished cells means Dead. Throws
-/// portatune::Error when the directory holds no journal at all.
+/// heartbeat freshness, progress and per-cell table, and — for a dead
+/// run — the resume hint. A last time-series row older than
+/// `stale_after_seconds` (or no row at all) with unfinished cells means
+/// Dead. Throws portatune::Error when the directory holds no journal.
 RunLiveness render_run_status(std::ostream& os, const std::string& run_dir,
                               double stale_after_seconds = 10.0);
 

@@ -8,13 +8,12 @@
 #   * loadgen PASSes — client-side op totals match the server.op.*
 #     counters exactly, garbage == server.op.invalid;
 #   * `status --socket` renders live per-op rates and percentiles;
-#   * server_status.json is a valid v1 heartbeat whose op table agrees
-#     with the load that was applied;
 #   * after a protocol shutdown (exit 0) the daemon leaves events.jsonl /
 #     trace.json / metrics.json plus the time-series and flight-recorder
-#     files, the event log has zero orphan spans, and the Chrome trace
-#     contains closed request spans with the wire -> session -> eval
-#     parent chain;
+#     files, the time-series' last row (the daemon's final heartbeat)
+#     agrees with the load that was applied, the event log has zero
+#     orphan spans, and the Chrome trace contains closed request spans
+#     with the wire -> session -> eval parent chain;
 #   * a SIGTERMed daemon (exit 3) emits the same artifacts.
 #
 # Usage: service_load.sh <portatune_cli> <portatune_loadgen>
@@ -63,31 +62,30 @@ grep -q 'tuning service on' status.log
 grep -q 'p99 ms' status.log
 grep -qE '^\s+step\s' status.log  # the load shows up as per-op rows
 
-# --- heartbeat file ----------------------------------------------------
-test -s "$DATA/server_status.json"
-python3 - <<'EOF'
-import json
-s = json.load(open("service_data/server_status.json"))
-assert s["schema"] == "portatune_server_status", s
-assert s["version"] == 1, s
-assert s["pid"] > 0, s
-# 3 clients x 2 sessions x 4 steps of load really registered.
-assert s["ops"]["step"]["count"] == 24, s["ops"]
-assert s["ops"]["invalid"]["count"] == 9, s["ops"]
-assert s["ops"]["step"]["p99_seconds"] >= s["ops"]["step"]["p50_seconds"], s
-assert s["requests_total"] > 0, s
-EOF
-
 # --- protocol shutdown: exit 0, artifacts written ---------------------
 call '{"op":"shutdown"}' | grep -q '"ok":true'
 rc=0
 wait "$daemon" || rc=$?
 test "$rc" -eq 0
 for f in events.jsonl trace.json metrics.json \
-         "$DATA/metrics_timeseries.jsonl" "$DATA/flight_recorder.jsonl" \
-         "$DATA/server_status.json"; do
+         "$DATA/metrics_timeseries.jsonl" "$DATA/flight_recorder.jsonl"; do
   test -s "$f"
 done
+
+# --- heartbeat: the time-series' last row, written at exit -------------
+python3 - <<'EOF'
+import json
+lines = open("service_data/metrics_timeseries.jsonl").read().splitlines()
+s = json.loads(lines[-1])
+assert s["pid"] > 0, s
+c = s["counters"]
+# 3 clients x 2 sessions x 4 steps of load really registered.
+assert c["server.op.step.count"] == 24, c
+assert c["server.op.invalid.count"] == 9, c
+step = s["histograms"]["server.op.step.latency"]
+assert step["p99"] >= step["p50"], step
+assert c["server.requests"] > 0, c
+EOF
 
 # The event log's span tree is complete: no orphans.
 "$REPORT" --log events.jsonl | tee report.log

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kernels/spapt.hpp"
 #include "orio/annotation.hpp"
 #include "orio/compiled.hpp"
 #include "support/error.hpp"
@@ -97,6 +98,24 @@ TEST(Codegen, MissingStatementTextThrows) {
   EXPECT_THROW(
       generate_c(nest, sim::NestTransform::identity(1), "f"),
       Error);
+}
+
+TEST(Codegen, PaperKernelsGenerateEveryStatement) {
+  // The four Table III kernels carry a C template on every statement, so
+  // each phase code-generates and its output contains each statement.
+  for (const auto& prob : kernels::table3_problems()) {
+    const auto t = prob->transforms(prob->space().default_config(), 1);
+    ASSERT_EQ(t.size(), prob->phases().size());
+    for (std::size_t p = 0; p < t.size(); ++p) {
+      const sim::LoopNest& nest = prob->phases()[p].nest;
+      const std::string code = generate_c(nest, t[p], "kernel");
+      for (const sim::Statement& s : nest.stmts) {
+        ASSERT_FALSE(s.text.empty()) << nest.name;
+        EXPECT_NE(code.find(s.text), std::string::npos)
+            << nest.name << ": " << s.text;
+      }
+    }
+  }
 }
 
 TEST(Codegen, BenchmarkProgramIsSelfContained) {

@@ -1,7 +1,7 @@
 // serve_unix_socket under real traffic and real abuse: stats round trip,
-// garbage/torn/oversized lines, disconnecting clients, the heartbeat
-// file, and the two shutdown exits. UNIX-only (AF_UNIX transport); on
-// other platforms the whole suite compiles away.
+// garbage/torn/oversized lines, disconnecting clients, the periodic
+// service-gauge refresh, and the two shutdown exits. UNIX-only (AF_UNIX
+// transport); on other platforms the whole suite compiles away.
 #if defined(__unix__) || defined(__APPLE__)
 
 #include "service/server.hpp"
@@ -15,8 +15,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -32,7 +30,7 @@ using obs::json::Value;
 
 /// Spin until `pred` holds or ~5s pass; returns its final value. The
 /// server loop runs in a background thread, so anything it maintains
-/// (counters, the socket file, the heartbeat) is eventually consistent
+/// (counters, gauges, the socket file) is eventually consistent
 /// from the test's point of view.
 template <class Pred>
 bool eventually(Pred pred) {
@@ -219,38 +217,25 @@ TEST_F(ServerTest, ShutdownOpExitsZero) {
   EXPECT_FALSE(std::filesystem::exists(socket_path_));
 }
 
-TEST_F(ServerTest, HeartbeatFileIsWrittenAndFinalized) {
+TEST_F(ServerTest, PollLoopRefreshesServiceGaugesWithoutAnyOp) {
+  // The metrics sampler's rows are the daemon's heartbeat; the service
+  // gauges in them must move although no client asks for `status` or
+  // `stats` (the two ops that publish them on demand).
   ServeOptions opt;
   opt.status_every_seconds = 0.05;
-  opt.status_path = testing::TempDir() + "pt_server_status_" +
-                    std::to_string(::getpid()) + ".json";
-  std::filesystem::remove(opt.status_path);
   start(opt);
-  ASSERT_TRUE(eventually(
-      [&] { return std::filesystem::exists(opt.status_path); }));
   ServiceClient client(socket_path_);
-  ASSERT_TRUE(
-      Value::parse(client.call(R"({"op":"status"})")).at("ok").as_bool());
-  ASSERT_TRUE(eventually([&] {
-    std::ifstream in(opt.status_path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    if (buf.str().empty()) return false;
-    const Value status = Value::parse(buf.str());
-    return status.at("schema").as_string() == "portatune_server_status" &&
-           status.at("requests_total").as_number() >= 1.0;
+  ASSERT_TRUE(Value::parse(client.call(
+                              R"({"op":"open","id":"g1","problem":"LU",)"
+                              R"("machine":"Westmere","max_evals":10,)"
+                              R"("seed":3})"))
+                  .at("ok")
+                  .as_bool());
+  EXPECT_TRUE(eventually([&] {
+    return registry_.gauge("service.sessions_active").value() == 1.0;
   }));
-  cancel_.request_cancel();
-  thread_.join();
-  EXPECT_EQ(rc_, 3);
-  // The teardown wrote one final heartbeat with no clients left.
-  std::ifstream in(opt.status_path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const Value final_status = Value::parse(buf.str());
-  EXPECT_EQ(final_status.at("clients_connected").as_number(), 0.0);
-  EXPECT_GT(final_status.at("pid").as_number(), 0.0);
-  EXPECT_NE(final_status.find("ops"), nullptr);
+  EXPECT_EQ(counter("server.op.status.count"), 0u);
+  EXPECT_EQ(counter("server.op.stats.count"), 0u);
 }
 
 TEST_F(ServerTest, LargePayloadRoundTripsThroughServiceClient) {

@@ -4,10 +4,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 
+#include "obs/metrics.hpp"
 #include "support/atomic_file.hpp"
 #include "support/cancellation.hpp"
 #include "support/error.hpp"
@@ -177,6 +180,37 @@ TEST_F(RunJournalTest, FreshRunCompletesAndRestoresOnReinvocation) {
   EXPECT_EQ(again.cells_completed, 0u);
   for (std::size_t i = 0; i < first.size(); ++i)
     expect_same_result(first[i], second[i]);
+}
+
+TEST_F(RunJournalTest, PeekAndTheEvalsGaugeDescribeAFinishedRun) {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRedirect redirect(registry);
+  JournaledRunOptions opt;
+  opt.run_dir = run_dir("peek");
+  opt.threads = 1;
+  const auto results = run_transfer_experiments_journaled(make_jobs(), opt);
+  // Six searches per cell, each capped at the cell's max_evals.
+  EXPECT_EQ(registry.gauge("run.evals_total").value(),
+            2.0 * kNumExperimentPhases * small_settings().max_evals);
+
+  // `status` reads per-cell progress from the phase files; it must equal
+  // the traces the run returned.
+  const RunJournal::Peek peek = RunJournal::peek(opt.run_dir);
+  ASSERT_EQ(peek.cells.size(), results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const TransferExperimentResult& r = results[i];
+    std::size_t evals = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (const SearchTrace* t : {&r.source_rs, &r.target_rs, &r.pruned,
+                                 &r.biased, &r.pruned_mf, &r.biased_mf}) {
+      evals += t->size();
+      best = std::min(best, t->best_seconds());
+    }
+    EXPECT_EQ(peek.cells[i].state, CellState::Done);
+    EXPECT_EQ(peek.cells[i].phases_done, kNumExperimentPhases);
+    EXPECT_EQ(peek.cells[i].evals, evals);
+    EXPECT_EQ(peek.cells[i].best_seconds, best);
+  }
 }
 
 TEST_F(RunJournalTest, CancelledMidSearchResumesIdentically) {
