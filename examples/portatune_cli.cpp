@@ -3,7 +3,8 @@
 //   portatune_cli list
 //       list problems and machines
 //   portatune_cli collect --problem LU --machine Westmere --out ta.csv
-//       run RS (n_max evals) and save the trace T_a
+//       run RS (n_max evals) and save the trace T_a (a checkpoint CSV,
+//       byte-identical to the final --checkpoint snapshot)
 //       resilience options: --faults <rate> injects transient failures,
 //       --retries N / --timeout S configure the resilient evaluator,
 //       --checkpoint ck.csv snapshots every --ckpt-every evals, and
@@ -136,6 +137,7 @@
 #include "service/service.hpp"
 #include "support/atomic_file.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "support/signal.hpp"
 #include "tuner/experiment.hpp"
 #include "tuner/persistence.hpp"
@@ -230,6 +232,12 @@ Args parse(int argc, char** argv) {
     }
     PT_REQUIRE(i + 1 < argc, "option " + key + " is missing a value");
     const std::string value = argv[i + 1];
+    // A numeric option's whole value must parse, or the usage error
+    // names the option and its value.
+    const auto number = [&](auto& field) {
+      field = parse_number<std::remove_reference_t<decltype(field)>>(
+          value, "option " + key);
+    };
     if (key == "--problem") a.problem = value;
     else if (key == "--source") a.source = value;
     else if (key == "--target") a.target = value;
@@ -238,31 +246,31 @@ Args parse(int argc, char** argv) {
     else if (key == "--out") a.out = value;
     else if (key == "--checkpoint") a.checkpoint = value;
     else if (key == "--resume") a.resume = value;
-    else if (key == "--ckpt-every") a.ckpt_every = std::stoul(value);
-    else if (key == "--nmax") a.nmax = std::stoul(value);
-    else if (key == "--delta") a.delta = std::stod(value);
+    else if (key == "--ckpt-every") number(a.ckpt_every);
+    else if (key == "--nmax") number(a.nmax);
+    else if (key == "--delta") number(a.delta);
     else if (key == "--faults") a.faults = value;
-    else if (key == "--slow") a.slow = std::stod(value);
+    else if (key == "--slow") number(a.slow);
     else if (key == "--pairs") a.pairs = value;
     else if (key == "--run-dir") a.run_dir = value;
-    else if (key == "--guard-floor") a.guard_floor = std::stod(value);
-    else if (key == "--guard-window") a.guard_window = std::stoul(value);
-    else if (key == "--retries") a.retries = std::stoul(value);
-    else if (key == "--timeout") a.timeout = std::stod(value);
-    else if (key == "--threads") a.threads = std::stoul(value);
-    else if (key == "--seed") a.seed = std::stoull(value);
+    else if (key == "--guard-floor") number(a.guard_floor);
+    else if (key == "--guard-window") number(a.guard_window);
+    else if (key == "--retries") number(a.retries);
+    else if (key == "--timeout") number(a.timeout);
+    else if (key == "--threads") number(a.threads);
+    else if (key == "--seed") number(a.seed);
     else if (key == "--log-json") a.log_json = value;
     else if (key == "--log-level") a.log_level = value;
     else if (key == "--metrics-out") a.metrics_out = value;
     else if (key == "--chrome-trace") a.chrome_trace = value;
-    else if (key == "--telemetry-every") a.telemetry_every = std::stod(value);
-    else if (key == "--stale-after") a.stale_after = std::stod(value);
-    else if (key == "--interval") a.interval = std::stod(value);
-    else if (key == "--slow-request") a.slow_request = std::stod(value);
-    else if (key == "--lease-seconds") a.lease_seconds = std::stod(value);
-    else if (key == "--client-rate") a.client_rate = std::stod(value);
-    else if (key == "--client-burst") a.client_burst = std::stod(value);
-    else if (key == "--deadline") a.deadline = std::stod(value);
+    else if (key == "--telemetry-every") number(a.telemetry_every);
+    else if (key == "--stale-after") number(a.stale_after);
+    else if (key == "--interval") number(a.interval);
+    else if (key == "--slow-request") number(a.slow_request);
+    else if (key == "--lease-seconds") number(a.lease_seconds);
+    else if (key == "--client-rate") number(a.client_rate);
+    else if (key == "--client-burst") number(a.client_burst);
+    else if (key == "--deadline") number(a.deadline);
     else if (key == "--socket") a.socket = value;
     else if (key == "--data-dir") a.data_dir = value;
     else if (key == "--request") a.request = value;
@@ -275,8 +283,8 @@ Args parse(int argc, char** argv) {
 /// run: installs them as the default sink, and on finish() writes the
 /// metrics snapshot and Chrome trace. finish() is idempotent and the
 /// destructor invokes it too, so the artifacts are emitted on *every*
-/// exit path — success, graceful shutdown (exit 3), and the catch(Error)
-/// unwind alike — and an exception cannot leave a dangling sink behind.
+/// exit path — success, graceful shutdown (exit 3), and the error unwind
+/// alike — and an exception cannot leave a dangling sink behind.
 ///
 /// For journaled experiment runs the session additionally composes the
 /// live-telemetry trio (unless --telemetry-every 0):
@@ -504,12 +512,17 @@ int cmd_collect(const Args& a) {
     std::printf("resuming from %s: %zu evaluations, %zu draws consumed\n",
                 a.resume.c_str(), resumed.trace.size(), resumed.draws);
   }
-  if (!a.checkpoint.empty()) {
-    opt.checkpoint_every = a.ckpt_every;
+  // The search hands its last snapshot (real draw watermark, quarantine)
+  // to on_checkpoint as it returns; --out saves that one, so T_a is also
+  // an exact resume point.
+  tuner::SearchCheckpoint last;
+  if (!a.checkpoint.empty()) opt.checkpoint_every = a.ckpt_every;
+  if (!a.checkpoint.empty() || !a.out.empty())
     opt.on_checkpoint = [&](const tuner::SearchCheckpoint& snapshot) {
-      tuner::save_checkpoint_csv(a.checkpoint, snapshot, eval.space());
+      if (!a.checkpoint.empty())
+        tuner::save_checkpoint_csv(a.checkpoint, snapshot, eval.space());
+      last = snapshot;
     };
-  }
 
   const auto trace = tuner::random_search(eval, opt);
   std::printf("collected %zu evaluations of %s on %s (best %.4f s)\n",
@@ -519,7 +532,7 @@ int cmd_collect(const Args& a) {
   if (!a.checkpoint.empty())
     std::printf("saved checkpoint to %s\n", a.checkpoint.c_str());
   if (!a.out.empty()) {
-    tuner::save_trace_csv(a.out, trace, eval.space());
+    tuner::save_checkpoint_csv(a.out, last, eval.space());
     std::printf("saved T_a to %s\n", a.out.c_str());
   }
   if (!a.quiet && !trace.empty()) {
@@ -552,7 +565,7 @@ int cmd_transfer(const Args& a) {
   if (!a.from.empty()) {
     // Reuse a previously collected T_a: fit the surrogate and run RS_b
     // exactly as the experiment's biased phase would.
-    const auto ta = tuner::load_trace_csv(a.from, source->space());
+    const auto ta = tuner::load_checkpoint_csv(a.from, source->space()).trace;
     std::printf("loaded T_a: %zu rows from %s\n", ta.size(),
                 a.from.c_str());
     tuner::SearchOptions opt = cfg.search_options();
@@ -876,7 +889,9 @@ int main(int argc, char** argv) {
     else throw Error("unknown command: " + a.command);
     obs_session.finish();
     return rc;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // portatune::Error and anything else: an error line and exit 1,
+    // never an abort.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

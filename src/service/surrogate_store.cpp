@@ -135,11 +135,12 @@ const StoreEntry& SurrogateStore::put(const std::string& problem,
   slot->fingerprint = std::move(fingerprint);
 
   ensure_directory(entry_dir(*slot));
-  std::ostringstream os;
-  tuner::save_trace_csv(os, trace, space);
+  tuner::SearchCheckpoint stored;
+  stored.trace = trace;
+  stored.draws = trace.size();  // never resumed; recorded for the format
   // Atomic trace first, index after: a crash between the two leaves an
   // orphaned trace file, never an index line without its trace.
-  atomic_write_file(entry_dir(*slot) + "/trace.csv", os.str());
+  tuner::save_checkpoint_csv(entry_dir(*slot) + "/trace.csv", stored, space);
   save_index();
   return *slot;
 }
@@ -163,7 +164,8 @@ std::optional<StoreMatch> SurrogateStore::nearest(
 
 tuner::SearchTrace SurrogateStore::load_trace(
     const StoreEntry& entry, const tuner::ParamSpace& space) const {
-  return tuner::load_trace_csv(entry_dir(entry) + "/trace.csv", space);
+  return tuner::load_checkpoint_csv(entry_dir(entry) + "/trace.csv", space)
+      .trace;
 }
 
 ml::RegressorPtr SurrogateStore::load_surrogate(
@@ -234,7 +236,7 @@ void SurrogateStore::load_index() {
     const std::string trace_path =
         opt_.dir + "/entries/" + e.key + "/trace.csv";
     if (!file_exists(trace_path)) continue;
-    // Verify the trace's v3 checksum footer up front — cheap (one hash
+    // Verify the trace's checksum footer up front — cheap (one hash
     // over the file) and it catches truncation and byte flips before a
     // session warms from the entry.
     try {

@@ -2,8 +2,8 @@
 //
 // The paper's transferable asset is T_a — the (configuration, run time)
 // trace a surrogate is fitted from. The store persists exactly that: one
-// entry per (problem, machine), holding the training trace (CSV v3, the
-// existing checksum codec) plus the machine's *fingerprint* — the run
+// entry per (problem, machine), holding the training trace (a checkpoint
+// CSV, tuner/persistence.hpp) plus the machine's *fingerprint* — the run
 // times of the canonical seeded probe set (tuner::probe_configs with
 // kFingerprintSeed), measured on that machine. Surrogates themselves are
 // never serialized: a forest refit from the same trace with the same
@@ -21,7 +21,8 @@
 //
 // Layout under dir/:
 //   index.csv                 one line per entry (atomic rewrite)
-//   entries/<key>/trace.csv   the training trace (atomic write)
+//   entries/<key>/trace.csv   the training trace as a checkpoint CSV
+//                             (atomic write)
 //   quarantine/               corrupt state moved aside, never deleted
 //
 // Corruption tolerance: the store is shared, long-lived state, so one
@@ -34,7 +35,8 @@
 // index_rejected.csv the same way, and an index.csv that is not a store
 // index at all is moved aside whole. quarantine() is also the escape
 // hatch for corruption detected later (a forged-checksum trace that
-// parses no further), used by the service's warm-start path.
+// parses no further, or an entry in the retired trace-v3 format), used
+// by the service's warm-start path.
 #pragma once
 
 #include <optional>

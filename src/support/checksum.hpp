@@ -1,13 +1,14 @@
 // The shared `# checksum,<16 hex>` footer convention.
 //
-// Every persistence format in the repo (trace CSV v3, checkpoint CSV v3,
-// the run-journal manifest) ends with one comment line carrying the
-// FNV-1a hash of every byte before it. Loaders verify the footer before
-// parsing, so truncation or bit-flips fail with a checksum diagnostic
-// instead of a confusing parse error — FNV-1a's per-byte step is a
-// bijection for a fixed byte, so any single corrupted byte is guaranteed
-// to change the final hash. Factored here (out of tuner/persistence.cpp)
-// so the journal and any future format share one implementation.
+// Every persistence format in the repo (the checkpoint CSV every trace
+// is stored in, the run-journal manifest) ends with one comment line
+// carrying the FNV-1a hash of every byte before it. Loaders verify the
+// footer before parsing, so truncation or bit-flips fail with a checksum
+// diagnostic instead of a confusing parse error — FNV-1a's per-byte step
+// is a bijection for a fixed byte, so any single corrupted byte is
+// guaranteed to change the final hash. Factored here (out of
+// tuner/persistence.cpp) so the journal and any future format share one
+// implementation.
 #pragma once
 
 #include <cctype>
@@ -38,8 +39,8 @@ inline std::string append_checksum_footer(const std::string& payload) {
 
 /// Verify and strip the checksum footer: the last line must read
 /// `# checksum,<16 hex digits>` and the hash of everything before it must
-/// match. `what` names the artifact in diagnostics ("trace",
-/// "checkpoint", "journal"). Throws portatune::Error on any mismatch.
+/// match. `what` names the artifact in diagnostics ("checkpoint",
+/// "journal"). Throws portatune::Error on any mismatch.
 inline std::string strip_verified_checksum_footer(const std::string& content,
                                                   const char* what) {
   const auto pos = content.rfind(kChecksumPrefix);

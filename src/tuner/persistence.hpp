@@ -1,26 +1,17 @@
-// Search-trace persistence.
+// Search-trace persistence: one on-disk format, the checkpoint CSV.
 //
 // T_a — the (configuration, run time) record from a tuning run — is the
 // paper's transferable artifact: collected once per machine, reused to
-// warm every future search. These helpers serialize a SearchTrace to a
-// self-describing CSV (header row carries the parameter names; a leading
-// comment row carries algorithm/problem/machine metadata) and load it
-// back against a ParamSpace, validating that the space matches.
+// warm every future search. Every trace on disk is a SearchCheckpoint:
+// the trace plus the sampler and resilience state needed to resume the
+// search exactly. save_checkpoint_csv is the one writer (`collect --out`
+// and `--checkpoint`, the run journal's phase files, session checkpoints,
+// surrogate-store entries) and load_checkpoint_csv the one reader, which
+// validates the file against a ParamSpace; callers that need only T_a
+// take `.trace`. summarize_checkpoint_csv shares its parse.
 //
-// Format:
-//   # portatune-trace v3,<algorithm>,<problem>,<machine>
-//   <param0>,<param1>,...,seconds,draw_index,wall_unix
-//   32,256,4,...,0.3412,17,1713960000.25
-//   # checksum,<16 hex digits>
-//
-// Values are written as parameter *values* (like the surrogate features),
-// not indices, so traces stay meaningful if a space is re-declared with
-// the same values in a different construction order per parameter.
-//
-// Checkpoints extend the trace format with the sampler and resilience
-// state needed to resume an interrupted search exactly (same magic-line
-// convention; extra `# key,...` metadata rows; rows carry the original
-// elapsed timestamp so the resumed clock is bitwise-identical):
+// Format (header row carries the parameter names; `# key,...` metadata
+// rows carry the algorithm/problem/machine and the resume state):
 //
 //   # portatune-checkpoint v3,<algorithm>,<problem>,<machine>
 //   # draws,<stream draws consumed>
@@ -32,13 +23,21 @@
 //                                                    session suggestions not
 //                                                    yet reported)
 //   <param0>,...,seconds,elapsed,draw_index,wall_unix
+//   32,256,4,...,0.3412,5.75,17,1713960000.25
 //   # checksum,<16 hex digits>
 //
+// Values are written as parameter *values* (like the surrogate features),
+// not indices, so traces stay meaningful if a space is re-declared with
+// the same values in a different construction order per parameter. Rows
+// carry the original elapsed timestamp and the clock, stop reason and
+// failure stats have rows of their own, so a reloaded trace equals the
+// saved one in every field and a resumed clock is bitwise-identical.
+//
 // The final checksum row carries the FNV-1a hash of every byte before it,
-// so loaders reject truncated or bit-flipped files with a checksum
-// diagnostic instead of silently resuming from garbage. Only v3 loads;
-// the older v1/v2 layouts (no checksum, v1 also no wall_unix) are
-// rejected by their magic line.
+// so the reader rejects truncated or bit-flipped files with a checksum
+// diagnostic instead of silently resuming from garbage. Any other magic
+// line — the older v1/v2 checkpoints and the retired trace files, v3
+// included — is rejected as a bad magic line.
 #pragma once
 
 #include <iosfwd>
@@ -51,24 +50,6 @@
 
 namespace portatune::tuner {
 
-/// Serialize to a stream. Throws on traces whose space is unknown — pass
-/// the space the trace was recorded against.
-void save_trace_csv(std::ostream& os, const SearchTrace& trace,
-                    const ParamSpace& space);
-
-/// Serialize to a file (overwrites). Throws portatune::Error on I/O error.
-void save_trace_csv(const std::string& path, const SearchTrace& trace,
-                    const ParamSpace& space);
-
-/// Parse a trace written by save_trace_csv. Every row's values must be
-/// present in the space's per-parameter value lists (exact match);
-/// otherwise throws portatune::Error with the offending row.
-SearchTrace load_trace_csv(std::istream& is, const ParamSpace& space);
-
-/// Load from a file. Throws portatune::Error on I/O or format errors.
-SearchTrace load_trace_csv(const std::string& path,
-                           const ParamSpace& space);
-
 /// Serialize an in-progress search snapshot (trace + sampler position +
 /// quarantine) so the search can be resumed exactly.
 void save_checkpoint_csv(std::ostream& os, const SearchCheckpoint& snapshot,
@@ -80,8 +61,10 @@ void save_checkpoint_csv(const std::string& path,
                          const SearchCheckpoint& snapshot,
                          const ParamSpace& space);
 
-/// Parse a checkpoint written by save_checkpoint_csv. Validates the space
-/// like load_trace_csv. Throws portatune::Error on I/O or format errors.
+/// Parse a checkpoint written by save_checkpoint_csv. Every row's values
+/// must be present in the space's per-parameter value lists (exact
+/// match). Throws portatune::Error, naming the offending row, on I/O or
+/// format errors.
 SearchCheckpoint load_checkpoint_csv(std::istream& is,
                                      const ParamSpace& space);
 

@@ -14,6 +14,7 @@
 #include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
+#include "support/parse.hpp"
 #include "support/thread_pool.hpp"
 #include "tuner/persistence.hpp"
 
@@ -93,33 +94,31 @@ std::vector<RunJournal::Cell> RunJournal::parse_manifest(
   std::string line;
   PT_REQUIRE(std::getline(is, line) && line.rfind(kJournalMagic, 0) == 0,
              "'" + run_dir + "/journal.csv' is not a portatune journal");
-  std::size_t ncells = 0;
-  try {
-    ncells = std::stoul(line.substr(kJournalMagic.size()));
-  } catch (const std::exception&) {
-    throw Error("journal magic line has a malformed cell count: " + line);
-  }
+  // The declared count is only compared, never allocated: the file may
+  // claim any number of cells.
+  const auto ncells = parse_number<std::size_t>(
+      line.substr(kJournalMagic.size()), "journal magic line cell count");
   PT_REQUIRE(std::getline(is, line) && line == kJournalHeader,
              "journal header row is missing or malformed");
 
   std::vector<Cell> cells;
-  cells.reserve(ncells);
   while (std::getline(is, line)) {
     if (line.empty()) continue;
+    const std::string where =
+        "journal row " + std::to_string(cells.size() + 1);
     const auto c1 = line.find(',');
     const auto c2 = c1 == std::string::npos ? std::string::npos
                                             : line.find(',', c1 + 1);
-    PT_REQUIRE(c2 != std::string::npos,
-               "malformed journal row: " + line);
+    PT_REQUIRE(c2 != std::string::npos, where + " is malformed: " + line);
     Cell cell;
     const std::string state = line.substr(0, c1);
     if (state == "pending") cell.state = CellState::Pending;
     else if (state == "running") cell.state = CellState::Running;
     else if (state == "done") cell.state = CellState::Done;
-    else throw Error("unknown journal cell state '" + state + "'");
+    else throw Error(where + " has an unknown cell state '" + state + "'");
     const std::string hex = line.substr(c1 + 1, c2 - c1 - 1);
-    PT_REQUIRE(hex.size() == 16, "malformed journal checksum: " + line);
-    cell.checksum = std::stoull(hex, nullptr, 16);
+    PT_REQUIRE(hex.size() == 16, where + " has a malformed checksum");
+    cell.checksum = parse_number<std::uint64_t>(hex, where + " checksum", 16);
     cell.label = line.substr(c2 + 1);  // labels may themselves hold commas
     cells.push_back(std::move(cell));
   }

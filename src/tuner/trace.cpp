@@ -11,11 +11,10 @@
 namespace portatune::tuner {
 
 void SearchTrace::record(ParamConfig config, double seconds,
-                         std::size_t draw_index, double wall_unix) {
+                         std::size_t draw_index) {
   clock_ += seconds;
-  if (wall_unix < 0.0) wall_unix = obs::wall_unix_now();
   entries_.push_back(
-      {std::move(config), seconds, clock_, draw_index, wall_unix});
+      {std::move(config), seconds, clock_, draw_index, obs::wall_unix_now()});
 }
 
 void SearchTrace::set_stop_reason(std::string reason) {

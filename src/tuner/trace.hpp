@@ -57,11 +57,9 @@ class SearchTrace {
         problem_(std::move(problem)),
         machine_(std::move(machine)) {}
 
-  /// Record a successful evaluation. The entry is wall-clock stamped at
-  /// call time unless `wall_unix` is >= 0 (persistence passes the saved
-  /// timestamp through).
-  void record(ParamConfig config, double seconds, std::size_t draw_index,
-              double wall_unix = -1.0);
+  /// Record a successful evaluation, wall-clock stamped at call time
+  /// (restore_entry keeps a saved stamp).
+  void record(ParamConfig config, double seconds, std::size_t draw_index);
   /// Account search time that produced no evaluation (e.g. pruned draws,
   /// model fitting); advances the search clock.
   void add_overhead(double seconds) { clock_ += seconds; }
@@ -85,7 +83,7 @@ class SearchTrace {
   /// recompute the clock like record() does). `wall_unix` is the saved
   /// wall-clock stamp (0 when unknown).
   void restore_entry(ParamConfig config, double seconds, double elapsed,
-                     std::size_t draw_index, double wall_unix = 0.0);
+                     std::size_t draw_index, double wall_unix);
   void restore_failure_stats(const FailureStats& stats) { failures_ = stats; }
   /// Restore a checkpointed stop reason without re-announcing the abort
   /// (no event, no flush — it already happened when the run aborted).

@@ -47,16 +47,16 @@ void EvalWatchdog::expire_now(std::uint64_t id) noexcept {
   {
     std::lock_guard lock(mutex_);
     const auto it = entries_.find(id);
-    if (it == entries_.end()) return;  // monitor already fired + reported
+    if (it == entries_.end()) return;  // monitor already fired + counted
     entry = std::move(it->second);
     entries_.erase(it);
+    hangs_.fetch_add(1, std::memory_order_relaxed);
   }
   report_hang(entry);
 }
 
 void EvalWatchdog::report_hang(Entry& entry) noexcept {
   entry.source.request_cancel();
-  hangs_.fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry::current().counter("eval.hang_detected").add(1);
   if (obs::enabled(obs::Severity::Warn))
     obs::emit(obs::make_instant(
@@ -121,6 +121,10 @@ void EvalWatchdog::monitor_loop() {
       }
     }
     if (fired.empty()) continue;
+    // Counted with the lock held, as in expire_now: an expire() that
+    // finds its entry gone, or a waiter woken by the cancellation, must
+    // already see the hang counted.
+    hangs_.fetch_add(fired.size(), std::memory_order_relaxed);
 
     // Report without the lock held: sinks may be slow, and report_hang
     // only touches the already-detached entries.

@@ -60,8 +60,9 @@ class EvalWatchdog {
 
     /// Fire the deadline *now* (caller-side deadline hit first): cancel
     /// the attempt and report the hang, unless the monitor already did —
-    /// whoever removes the registration reports, so each hang is counted
-    /// exactly once.
+    /// whoever removes the registration counts it, under the watchdog's
+    /// lock, and reports, so each hang is counted exactly once and is
+    /// counted by the time expire() returns.
     void expire() noexcept;
 
    private:

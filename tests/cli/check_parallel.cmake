@@ -1,9 +1,10 @@
 # ctest script: the CLI's --threads flag must not change search results.
 # Runs the same fault-injected collect twice — serial and with a 4-worker
-# evaluation window — and compares the trace CSVs after stripping the
-# wall-clock column (the one field that legitimately differs between
-# runs). The gtest suites prove the library-level parity; this checks the
-# CLI wiring end to end.
+# evaluation window — and compares the T_a files (checkpoint CSVs: the
+# trace plus its draw watermark, clock, stats and quarantine) after
+# stripping the wall-clock column (the one field that legitimately
+# differs between runs). The gtest suites prove the library-level parity;
+# this checks the CLI wiring end to end.
 #
 # Inputs: -DCLI=<portatune_cli path> -DWORK_DIR=<scratch directory>
 
@@ -30,9 +31,9 @@ foreach(run "serial;1" "parallel;4")
   endif()
 endforeach()
 
-# Strip the trailing wall_unix column from every data row — and the v3
+# Strip the trailing wall_unix column from every data row — and the
 # checksum footer, which hashes those timestamps and so differs too —
-# then compare.
+# then compare. The metadata rows stay in the comparison.
 function(canonicalize path out_var)
   file(STRINGS "${path}" lines ENCODING UTF-8)
   set(result "")

@@ -1,9 +1,10 @@
 # ctest script: `transfer --from T_a.csv` must run the same RS_b as the
-# `transfer` experiment's biased phase. It collects T_a on the source
-# machine with `collect` (the same draws the experiment's source RS
-# makes), then runs both transfer forms at the same seed and budget and
-# compares their search.RS_b events: the evaluation count, the best run
-# time and the simulated search time must be equal.
+# `transfer` experiment's biased phase. It collects T_a (a checkpoint
+# CSV) on the source machine with `collect` (the same draws the
+# experiment's source RS makes), then runs both transfer forms at the
+# same seed and budget and compares their search.RS_b events: the
+# evaluation count, the best run time and the simulated search time must
+# be equal.
 #
 # Inputs: -DCLI=<portatune_cli path> -DWORK_DIR=<scratch directory>
 

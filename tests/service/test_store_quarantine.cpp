@@ -169,35 +169,62 @@ TEST_F(StoreQuarantineTest, ForeignIndexHeaderQuarantinesIndexWhole) {
   EXPECT_FALSE(std::filesystem::exists(dir_ + "/index.csv"));
 }
 
+/// A store entry as the removed `# portatune-trace v3` writer laid it
+/// out: valid checksum, no metadata rows, no elapsed column.
+std::string trace_v3_entry(const tuner::SearchTrace& t,
+                           const tuner::ParamSpace& space) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "# portatune-trace v3," << t.algorithm() << "," << t.problem() << ","
+     << t.machine() << "\n";
+  for (const auto& name : space.names()) os << name << ",";
+  os << "seconds,draw_index,wall_unix\n";
+  for (const auto& e : t.entries()) {
+    for (double v : space.features(e.config)) os << v << ",";
+    os << e.seconds << "," << e.draw_index << "," << e.wall_unix << "\n";
+  }
+  return append_checksum_footer(os.str());
+}
+
 TEST_F(StoreQuarantineTest, ForgedChecksumIsCaughtAtWarmStartNotCrash) {
   // A forged footer defeats the load-time checksum (the hash matches the
   // garbage), so the entry survives loading — the *use* site must catch
   // it: warming a session from it degrades to a cold open and
-  // quarantines the entry. The client never sees a failure.
-  TuningServiceOptions so;
-  so.data_dir = testing::TempDir() + "portatune_forged_quarantine";
-  std::filesystem::remove_all(so.data_dir);
-  so.fingerprint_probes = 6;
-  TuningService svc(so);
+  // quarantines the entry. The client never sees a failure. An entry in
+  // the removed trace-v3 format takes the same path.
   apps::TuningConfig cfg;
   cfg.problem("LU").machine("Westmere").max_evals(20).seed(5);
-  svc.open("donor", cfg).step(10);
-  const tuner::SearchTrace trace = svc.find("donor")->close();
-  ASSERT_GT(trace.size(), 0u);
-  ASSERT_EQ(svc.store().size(), 1u);
-  const std::string key = svc.store().entries().front().key;
-  const std::string trace_path =
-      svc.store().dir() + "/entries/" + key + "/trace.csv";
-  ASSERT_TRUE(std::filesystem::exists(trace_path));
-  atomic_write_file(trace_path,
-                    append_checksum_footer("not,a,trace,at,all\n"));
+  const auto stack = cfg.make_stack();
+  for (const bool trace_v3 : {false, true}) {
+    SCOPED_TRACE(trace_v3 ? "trace-v3 entry" : "garbage entry");
+    TuningServiceOptions so;
+    so.data_dir = testing::TempDir() + "portatune_forged_quarantine_" +
+                  std::to_string(trace_v3);
+    std::filesystem::remove_all(so.data_dir);
+    so.fingerprint_probes = 6;
+    TuningService svc(so);
+    svc.open("donor", cfg).step(10);
+    const tuner::SearchTrace trace = svc.find("donor")->close();
+    ASSERT_GT(trace.size(), 0u);
+    ASSERT_EQ(svc.store().size(), 1u);
+    const std::string key = svc.store().entries().front().key;
+    const std::string trace_path =
+        svc.store().dir() + "/entries/" + key + "/trace.csv";
+    ASSERT_TRUE(std::filesystem::exists(trace_path));
+    atomic_write_file(
+        trace_path, trace_v3
+                        ? trace_v3_entry(trace, stack->space())
+                        : append_checksum_footer("not,a,trace,at,all\n"));
 
-  SessionHandle& h = svc.open("victim", cfg);
-  EXPECT_FALSE(h.warm());  // degraded to cold, not failed
-  EXPECT_EQ(svc.store().quarantined(), 1u);
-  EXPECT_EQ(svc.store().size(), 0u);
-  EXPECT_TRUE(
-      std::filesystem::exists(svc.store().dir() + "/quarantine/" + key));
+    SessionHandle& h = svc.open("victim", cfg);
+    EXPECT_FALSE(h.warm());  // degraded to cold, not failed
+    EXPECT_EQ(svc.store().quarantined(), 1u);
+    EXPECT_EQ(registry_.counter("store.quarantined").value(),
+              trace_v3 ? 2u : 1u);
+    EXPECT_EQ(svc.store().size(), 0u);
+    EXPECT_TRUE(
+        std::filesystem::exists(svc.store().dir() + "/quarantine/" + key));
+  }
 }
 
 }  // namespace

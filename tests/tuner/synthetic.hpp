@@ -5,8 +5,10 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <sstream>
 
 #include "tuner/evaluator.hpp"
+#include "tuner/persistence.hpp"
 
 namespace portatune::tuner::testing {
 
@@ -76,5 +78,19 @@ class QuadraticEvaluator final : public Evaluator {
   double base_;
   std::atomic<std::size_t> calls_{0};
 };
+
+/// Serialize a trace as a checkpoint with the volatile wall-clock column
+/// zeroed, so two runs of the same search compare byte-for-byte.
+inline std::string canonical_csv(const SearchTrace& t,
+                                 const ParamSpace& space) {
+  SearchCheckpoint z;
+  z.trace = SearchTrace(t.algorithm(), t.problem(), t.machine());
+  for (const auto& e : t.entries())
+    z.trace.restore_entry(e.config, e.seconds, e.elapsed, e.draw_index, 0.0);
+  z.draws = t.size();
+  std::ostringstream os;
+  save_checkpoint_csv(os, z, space);
+  return os.str();
+}
 
 }  // namespace portatune::tuner::testing

@@ -8,19 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "ml/model.hpp"
 #include "obs/sink.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/parallel.hpp"
-#include "tuner/persistence.hpp"
 #include "tuner/random_search.hpp"
 
 namespace portatune::tuner {
 namespace {
 
 using testing::QuadraticEvaluator;
+using testing::canonical_csv;
 using testing::grid_space;
 
 // ---------------------------------------------------------------------
@@ -62,15 +61,6 @@ class PlateauModel final : public ml::Regressor {
   bool is_fitted() const noexcept override { return true; }
   std::string name() const override { return "plateau"; }
 };
-
-std::string canonical_csv(const SearchTrace& t, const ParamSpace& space) {
-  SearchTrace z(t.algorithm(), t.problem(), t.machine());
-  for (const auto& e : t.entries())
-    z.restore_entry(e.config, e.seconds, e.elapsed, e.draw_index, 0.0);
-  std::ostringstream os;
-  save_trace_csv(os, z, space);
-  return os.str();
-}
 
 // ---------------------------------------------------------------------
 // TrustMonitor units

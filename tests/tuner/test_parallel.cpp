@@ -5,7 +5,7 @@
 //   * ParallelEvaluator keeps batch order regardless of completion order
 //     and degrades to serial when the inner backend is not thread-safe.
 //   * Serial-vs-parallel determinism parity: the same seed produces a
-//     byte-identical trace CSV for RS / RS_p / RS_b, the replay, and the
+//     byte-identical canonical CSV for RS / RS_p / RS_b, the replay, and the
 //     model-free controls RS_pf / RS_bf at any thread count,
 //     including under fault injection, retry, quarantine, failure-budget
 //     aborts, and checkpoint/resume.
@@ -16,14 +16,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "ml/forest.hpp"
 #include "support/thread_pool.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/experiment.hpp"
 #include "tuner/faults.hpp"
-#include "tuner/persistence.hpp"
 #include "tuner/random_search.hpp"
 #include "tuner/resilience.hpp"
 #include "tuner/sampler.hpp"
@@ -33,6 +31,7 @@ namespace portatune::tuner {
 namespace {
 
 using testing::QuadraticEvaluator;
+using testing::canonical_csv;
 
 QuadraticEvaluator machine_a() {
   return QuadraticEvaluator("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
@@ -65,17 +64,6 @@ std::vector<ParamConfig> draw_configs(const ParamSpace& space,
   while (out.size() < count)
     if (auto c = stream.next()) out.push_back(*c);
   return out;
-}
-
-/// Serialize a trace with the volatile wall-clock column zeroed, so two
-/// runs of the same search compare byte-for-byte.
-std::string canonical_csv(const SearchTrace& t, const ParamSpace& space) {
-  SearchTrace z(t.algorithm(), t.problem(), t.machine());
-  for (const auto& e : t.entries())
-    z.restore_entry(e.config, e.seconds, e.elapsed, e.draw_index, 0.0);
-  std::ostringstream os;
-  save_trace_csv(os, z, space);
-  return os.str();
 }
 
 // ---------------------------------------------------------------------

@@ -56,8 +56,7 @@ void write_phase(const std::string& path, const std::vector<double>& seconds) {
   SearchCheckpoint snap;
   snap.trace = SearchTrace("RS", "P", "M");
   for (std::size_t i = 0; i < seconds.size(); ++i)
-    snap.trace.record(ParamConfig{static_cast<int>(i % 3)}, seconds[i], i,
-                      0.0);
+    snap.trace.record(ParamConfig{static_cast<int>(i % 3)}, seconds[i], i);
   snap.draws = seconds.size();
   save_checkpoint_csv(path, snap, space);
 }
@@ -222,7 +221,9 @@ TEST(TimeseriesTail, ReaderRacingASamplerNeverFails) {
     }
   });
   int failures = 0;
-  for (int i = 0; i < 300; ++i)
+  // However late the writer is scheduled, keep reading until it has
+  // appended rows while the reads ran.
+  for (int i = 0; i < 300 || sampler.samples_written() < 3; ++i)
     if (!obs::read_last_timeseries_row(o.path).has_value()) ++failures;
   stop.store(true);
   writer.join();

@@ -9,7 +9,6 @@
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "tuner/persistence.hpp"
-#include "tuner/random_search.hpp"
 #include "tuner/trace.hpp"
 
 namespace portatune::tuner {
@@ -25,29 +24,6 @@ TEST(TraceWallClock, RecordStampsEntries) {
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_GE(trace.entry(0).wall_unix, before);
   EXPECT_LE(trace.entry(0).wall_unix, after);
-}
-
-TEST(TraceWallClock, ExplicitTimestampPassesThrough) {
-  SearchTrace trace("RS", "p", "m");
-  trace.record({0, 0, 0, 0}, 1.0, 0, 12345.5);
-  EXPECT_DOUBLE_EQ(trace.entry(0).wall_unix, 12345.5);
-}
-
-TEST(TraceWallClock, TraceCsvRoundTripsTimestamps) {
-  QuadraticEvaluator eval("M", {5, 5, 5, 5}, {1, 1, 1, 1});
-  SearchOptions opt;
-  opt.max_evals = 8;
-  opt.seed = 3;
-  const auto original = random_search(eval, opt);
-  ASSERT_GT(original.entry(0).wall_unix, 0.0);
-
-  std::stringstream buf;
-  save_trace_csv(buf, original, eval.space());
-  const auto loaded = load_trace_csv(buf, eval.space());
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i)
-    EXPECT_DOUBLE_EQ(loaded.entry(i).wall_unix,
-                     original.entry(i).wall_unix);
 }
 
 TEST(FailureStatsPersistence, RoundTripsNonZeroCounts) {
@@ -84,7 +60,7 @@ TEST(FailureStatsPersistence, CheckpointRoundTripsWallClock) {
   QuadraticEvaluator eval("M", {5, 5, 5, 5}, {1, 1, 1, 1});
   SearchCheckpoint original;
   original.trace = SearchTrace("RS", "quadratic", "M");
-  original.trace.record({1, 2, 3, 4}, 1.5, 0, 1700000000.25);
+  original.trace.restore_entry({1, 2, 3, 4}, 1.5, 1.5, 0, 1700000000.25);
   original.draws = 1;
 
   std::stringstream buf;
