@@ -53,7 +53,8 @@ int main() {
       fp.seed = settings.seed;
       WallTimer timer;
       auto model = std::make_unique<ml::RandomForest>(fp);
-      model->fit(source.to_dataset(lu->space()));
+      const ml::Dataset data = source.to_dataset(lu->space());
+      model->fit(data);
       const double fit_ms = timer.seconds() * 1e3;
 
       kernels::SimulatedKernelEvaluator target(lu, sim::make_sandybridge());
@@ -61,7 +62,7 @@ int main() {
           tuner::biased_random_search(target, *model, settings);
       const auto s = tuner::compare_to_rs(rs, trace);
       t.add_row({std::to_string(trees), TextTable::num(fit_ms, 1),
-                 TextTable::num(model->oob_rmse(), 3),
+                 TextTable::num(model->oob_rmse(data), 3),
                  TextTable::num(s.performance, 2),
                  TextTable::num(s.search, 2)});
     }

@@ -41,9 +41,9 @@ int main() {
   ml::RandomForest forest(fp);
   forest.fit(data);
   std::printf("forest: %zu trees, OOB RMSE %.4f s\n", forest.num_trees(),
-              forest.oob_rmse());
+              forest.oob_rmse(data));
   std::printf("\npermutation feature importances:\n");
-  const auto imp = forest.feature_importances();
+  const auto imp = forest.feature_importances(data);
   const auto names = mm->space().names();
   for (std::size_t i = 0; i < imp.size(); ++i)
     std::printf("  %-6s %.3f\n", names[i].c_str(), imp[i]);

@@ -98,7 +98,9 @@ const TuningConfig& TuningConfig::validate() const {
   PT_REQUIRE(!problem_.empty(), "TuningConfig: problem must be named");
   PT_REQUIRE(!machine_.empty(), "TuningConfig: machine must be named");
   PT_REQUIRE(max_evals_ > 0, "TuningConfig: max_evals must be positive");
-  PT_REQUIRE(pool_size_ > 0, "TuningConfig: pool_size must be positive");
+  PT_REQUIRE(pool_size_ > 0 && pool_size_ <= kMaxPoolSize,
+             "TuningConfig: pool_size must lie in 1.." +
+                 std::to_string(kMaxPoolSize));
   PT_REQUIRE(delta_percent_ > 0.0 && delta_percent_ < 100.0,
              "TuningConfig: delta_percent must lie strictly between 0 "
              "and 100");

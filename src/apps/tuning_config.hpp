@@ -35,6 +35,11 @@ enum class StackRole { Single, Source, Target };
 
 class TuningConfig {
  public:
+  /// validate()'s bound on pool_size: ten times the paper's N. Every pool
+  /// configuration is held, encoded and predicted at once, so an
+  /// unbounded size would let one request stall the process.
+  static constexpr std::size_t kMaxPoolSize = 100000;
+
   // -- Backend ----------------------------------------------------------
   TuningConfig& problem(std::string name);
   /// The machine of Single/Target stacks.

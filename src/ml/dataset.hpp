@@ -32,6 +32,8 @@ class Dataset {
   std::span<const double> row(std::size_t i) const {
     return {features_.data() + i * num_features_, num_features_};
   }
+  /// Every row's features, row-major (num_rows x num_features).
+  std::span<const double> matrix() const noexcept { return features_; }
   double target(std::size_t i) const { return targets_[i]; }
   std::span<const double> targets() const noexcept { return targets_; }
 

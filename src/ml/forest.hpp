@@ -4,6 +4,15 @@
 // bootstrap resample of T_a with per-split feature subsampling; the
 // prediction is the mean of the trees' predictions. Tree fitting is
 // parallelized over the support thread pool.
+//
+// fit() fits the trees and nothing else, then concatenates them into one
+// contiguous array of 16-byte TreeNodes (each tree in pre-order, its
+// right-child indices offset to the shared array). predict() walks one
+// lane per tree, the batched predict_rows() one lane per row of an
+// L1-sized block, tree by tree; both sum a row's tree outputs in tree
+// order before one division, so a batch prediction equals the single-row
+// one bit for bit. The out-of-bag error and the permutation importances
+// are diagnostics, computed only when asked for.
 #pragma once
 
 #include <cstdint>
@@ -30,27 +39,30 @@ class RandomForest final : public Regressor {
 
   void fit(const Dataset& train) override;
   double predict(std::span<const double> x) const override;
-  std::vector<double> predict_batch(const Dataset& rows) const override;
-  bool is_fitted() const noexcept override { return !trees_.empty(); }
+  /// Tree-major over cache-sized row blocks; blocks run in parallel on
+  /// the global pool for 256 rows or more.
+  void predict_rows(std::span<const double> rows, std::size_t cols,
+                    std::span<double> out) const override;
+  bool is_fitted() const noexcept override { return !roots_.empty(); }
   std::string name() const override { return "random_forest"; }
 
-  std::size_t num_trees() const noexcept { return trees_.size(); }
-  const RegressionTree& tree(std::size_t i) const { return trees_.at(i); }
+  std::size_t num_trees() const noexcept { return roots_.size(); }
 
-  /// Out-of-bag RMSE estimate computed during fit (NaN if unavailable).
-  double oob_rmse() const noexcept { return oob_rmse_; }
+  /// Out-of-bag RMSE: each row of `train` predicted by the trees whose
+  /// bootstrap bag missed it (NaN when no row was missed). `train` must be
+  /// the dataset the forest was fit on.
+  double oob_rmse(const Dataset& train) const;
 
-  /// Mean-decrease-in-variance feature importances, normalized to sum 1.
-  /// Computed by permutation on the training set after fit.
-  std::vector<double> feature_importances() const noexcept {
-    return importances_;
-  }
+  /// Permutation feature importances on `train` (the fit dataset): the
+  /// increase in training MSE when a column is shuffled, normalized to
+  /// sum 1.
+  std::vector<double> feature_importances(const Dataset& train) const;
 
  private:
   ForestParams params_;
-  std::vector<RegressionTree> trees_;
-  double oob_rmse_ = 0.0;
-  std::vector<double> importances_;
+  std::vector<TreeNode> nodes_;     ///< every tree, one after another
+  std::vector<std::size_t> roots_;  ///< tree t starts at nodes_[roots_[t]]
+  std::size_t num_features_ = 0;
 };
 
 }  // namespace portatune::ml

@@ -24,8 +24,15 @@ class Regressor {
   /// Predict the target for one feature vector.
   virtual double predict(std::span<const double> x) const = 0;
 
-  /// Predict a batch of rows (default: loop over predict()).
-  virtual std::vector<double> predict_batch(const Dataset& rows) const;
+  /// Predict every row of the row-major matrix `rows` (`cols` features
+  /// per row) into `out`, one slot per row; out[i] equals predict() of
+  /// row i exactly. The one batch entry point: the default loops over
+  /// predict(), the random forest walks its trees over row blocks.
+  virtual void predict_rows(std::span<const double> rows, std::size_t cols,
+                            std::span<double> out) const;
+
+  /// predict_rows() over a dataset's rows.
+  std::vector<double> predict_batch(const Dataset& rows) const;
 
   virtual bool is_fitted() const noexcept = 0;
 

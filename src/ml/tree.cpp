@@ -10,7 +10,10 @@ namespace portatune::ml {
 
 void RegressionTree::fit(const Dataset& train) {
   PT_REQUIRE(!train.empty(), "cannot fit a tree on an empty dataset");
+  PT_REQUIRE(train.num_features() <= UINT32_MAX, "too many features");
   nodes_.clear();
+  samples_.clear();
+  depth_ = 0;
   num_features_ = train.num_features();
   std::vector<std::size_t> rows(train.num_rows());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
@@ -21,14 +24,13 @@ void RegressionTree::fit(const Dataset& train) {
 std::size_t RegressionTree::build(const Dataset& data,
                                   std::vector<std::size_t>& rows,
                                   std::size_t depth, Rng& rng) {
+  // A leaf holding the mean target until a split is accepted.
   const std::size_t index = nodes_.size();
-  nodes_.emplace_back();
-  {
-    double sum = 0.0;
-    for (std::size_t r : rows) sum += data.target(r);
-    nodes_[index].value = sum / static_cast<double>(rows.size());
-    nodes_[index].samples = rows.size();
-  }
+  double sum = 0.0;
+  for (std::size_t r : rows) sum += data.target(r);
+  nodes_.push_back({sum / static_cast<double>(rows.size())});
+  samples_.push_back(rows.size());
+  depth_ = std::max(depth_, depth);
 
   const bool depth_ok = params_.max_depth == 0 || depth < params_.max_depth;
   if (!depth_ok || rows.size() < params_.min_samples_split) return index;
@@ -52,12 +54,12 @@ std::size_t RegressionTree::build(const Dataset& data,
   rows.clear();
   rows.shrink_to_fit();  // release before recursing; trees can be deep
 
-  nodes_[index].feature = split->feature;
+  nodes_[index].feature = static_cast<std::uint32_t>(split->feature);
   nodes_[index].threshold = split->threshold;
-  const std::size_t left = build(data, left_rows, depth + 1, rng);
-  nodes_[index].left = left;
+  build(data, left_rows, depth + 1, rng);  // pre-order: lands at index + 1
   const std::size_t right = build(data, right_rows, depth + 1, rng);
-  nodes_[index].right = right;
+  PT_REQUIRE(right <= UINT32_MAX, "tree too large for 32-bit node indices");
+  nodes_[index].right = static_cast<std::uint32_t>(right);
   return index;
 }
 
@@ -128,36 +130,17 @@ std::optional<RegressionTree::Split> RegressionTree::best_split(
 double RegressionTree::predict(std::span<const double> x) const {
   PT_REQUIRE(is_fitted(), "predict() before fit()");
   PT_REQUIRE(x.size() == num_features_, "feature arity mismatch");
-  std::size_t node = 0;
-  while (!nodes_[node].is_leaf()) {
-    node = (x[nodes_[node].feature] <= nodes_[node].threshold)
-               ? nodes_[node].left
-               : nodes_[node].right;
-  }
-  return nodes_[node].value;
+  std::size_t at = 0;
+  std::uint64_t live;
+  walk_to_leaves(nodes_.data(), {&at, 1},
+                 [&](std::size_t) { return x.data(); }, &live);
+  return nodes_[at].threshold;
 }
 
 std::size_t RegressionTree::leaf_count() const noexcept {
   std::size_t leaves = 0;
   for (const auto& n : nodes_) leaves += n.is_leaf() ? 1 : 0;
   return leaves;
-}
-
-std::size_t RegressionTree::depth() const noexcept {
-  if (nodes_.empty()) return 0;
-  // Iterative DFS carrying depth.
-  std::vector<std::pair<std::size_t, std::size_t>> stack{{0, 0}};
-  std::size_t max_depth = 0;
-  while (!stack.empty()) {
-    const auto [node, d] = stack.back();
-    stack.pop_back();
-    max_depth = std::max(max_depth, d);
-    if (!nodes_[node].is_leaf()) {
-      stack.push_back({nodes_[node].left, d + 1});
-      stack.push_back({nodes_[node].right, d + 1});
-    }
-  }
-  return max_depth;
 }
 
 namespace {
@@ -172,17 +155,18 @@ void RegressionTree::render(std::size_t node, std::size_t depth,
                             const std::vector<std::string>& names,
                             std::string& out) const {
   const std::string indent(depth * 2, ' ');
-  const Node& n = nodes_[node];
+  const TreeNode& n = nodes_[node];
   std::ostringstream os;
   if (n.is_leaf()) {
-    os << indent << "-> " << n.value << "  [n=" << n.samples << "]\n";
+    os << indent << "-> " << n.threshold << "  [n=" << samples_[node]
+       << "]\n";
     out += os.str();
     return;
   }
   os << indent << "if " << feature_label(names, n.feature)
      << " <= " << n.threshold << ":\n";
   out += os.str();
-  render(n.left, depth + 1, names, out);
+  render(node + 1, depth + 1, names, out);
   out += indent + "else:\n";
   render(n.right, depth + 1, names, out);
 }
@@ -201,15 +185,15 @@ std::string RegressionTree::to_dot(
   std::ostringstream os;
   os << "digraph tree {\n  node [shape=box];\n";
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
+    const TreeNode& n = nodes_[i];
     if (n.is_leaf()) {
-      os << "  n" << i << " [label=\"" << n.value << "\\nn=" << n.samples
+      os << "  n" << i << " [label=\"" << n.threshold << "\\nn=" << samples_[i]
          << "\"];\n";
     } else {
       os << "  n" << i << " [label=\""
          << feature_label(feature_names, n.feature) << " <= " << n.threshold
          << "\"];\n";
-      os << "  n" << i << " -> n" << n.left << " [label=\"yes\"];\n";
+      os << "  n" << i << " -> n" << i + 1 << " [label=\"yes\"];\n";
       os << "  n" << i << " -> n" << n.right << " [label=\"no\"];\n";
     }
   }

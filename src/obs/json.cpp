@@ -293,6 +293,20 @@ const Value& Value::at(std::string_view key) const {
 
 Value Value::parse(std::string_view text) { return Parser(text).run(); }
 
+std::uint64_t size_member(const Value& obj, std::string_view key,
+                          std::optional<std::uint64_t> fallback) {
+  const Value* v = obj.find(key);
+  if (v == nullptr && fallback) return *fallback;
+  PT_REQUIRE(v != nullptr, "json: missing key '" + std::string(key) + "'");
+  // 0x1p64 is 2^64 exactly; NaN fails every comparison.
+  PT_REQUIRE(v->is_number() && v->as_number() >= 0 &&
+                 v->as_number() < 0x1p64 &&
+                 v->as_number() == std::floor(v->as_number()),
+             "'" + std::string(key) +
+                 "' must be a non-negative integer below 2^64");
+  return static_cast<std::uint64_t>(v->as_number());
+}
+
 std::string Value::dump() const {
   std::string out;
   dump_into(*this, out);

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,6 +65,14 @@ class Value {
   std::vector<Value> array_;
   std::vector<std::pair<std::string, Value>> object_;
 };
+
+/// The non-negative integer member `key` of object `obj`; `fallback`
+/// when it is absent, which throws when there is none. Throws
+/// portatune::Error naming `key` unless the member is a whole number
+/// below 2^64: the one check every integer read from a request or a
+/// state file goes through, so no out-of-range double reaches a cast.
+std::uint64_t size_member(const Value& obj, std::string_view key,
+                          std::optional<std::uint64_t> fallback = {});
 
 /// Escape a string for embedding in a JSON document (no surrounding
 /// quotes).

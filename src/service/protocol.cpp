@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@ namespace portatune::service {
 
 namespace {
 
+using obs::json::size_member;
 using obs::json::Value;
 
 using Members = std::vector<std::pair<std::string, Value>>;
@@ -62,16 +64,6 @@ std::string required_string(const Value& req, const char* key) {
   return v->as_string();
 }
 
-std::size_t size_member(const Value& req, const char* key,
-                        std::size_t fallback) {
-  const Value* v = req.find(key);
-  if (v == nullptr) return fallback;
-  PT_REQUIRE(v->is_number() && v->as_number() >= 0 &&
-                 v->as_number() == std::floor(v->as_number()),
-             std::string("'") + key + "' must be a non-negative integer");
-  return static_cast<std::size_t>(v->as_number());
-}
-
 SessionHandle& required_session(TuningService& svc, const Value& req) {
   const std::string id = required_string(req, "id");
   SessionHandle* h = svc.find(id);
@@ -89,7 +81,8 @@ tuner::ParamConfig parse_config(const Value& v,
   tuner::ParamConfig config;
   config.reserve(v.as_array().size());
   for (const Value& item : v.as_array()) {
-    PT_REQUIRE(item.is_number() &&
+    PT_REQUIRE(item.is_number() && item.as_number() >= 0 &&
+                   item.as_number() <= std::numeric_limits<int>::max() &&
                    item.as_number() == std::floor(item.as_number()),
                "'config' entries must be integer value indices");
     config.push_back(static_cast<int>(item.as_number()));
@@ -121,14 +114,10 @@ std::string op_open(TuningService& svc, const Value& req) {
   // lets a request span show its evaluation fan-out, and the layer is
   // dormant (no clock reads) when no sink listens at Debug.
   cfg.observe(true);
-  if (const Value* v = req.find("max_evals"))
-    cfg.max_evals(static_cast<std::size_t>(v->as_number()));
-  if (const Value* v = req.find("seed"))
-    cfg.seed(static_cast<std::uint64_t>(v->as_number()));
-  if (const Value* v = req.find("pool_size"))
-    cfg.pool_size(static_cast<std::size_t>(v->as_number()));
-  if (const Value* v = req.find("eval_threads"))
-    cfg.eval_threads(static_cast<std::size_t>(v->as_number()));
+  cfg.max_evals(size_member(req, "max_evals", cfg.max_evals()))
+      .seed(size_member(req, "seed", cfg.seed()))
+      .pool_size(size_member(req, "pool_size", cfg.pool_size()))
+      .eval_threads(size_member(req, "eval_threads", cfg.eval_threads()));
   SessionHandle& h = svc.open(required_string(req, "id"), cfg);
   return ok_reply(session_members(h));
 }

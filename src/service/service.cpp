@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include <cctype>
+#include <limits>
 #include <utility>
 
 #include "obs/event.hpp"
@@ -127,7 +128,13 @@ Value config_to_json(const apps::TuningConfig& cfg) {
 
 apps::TuningConfig config_from_json(const Value& v) {
   const auto size_at = [](const Value& o, const char* key) {
-    return static_cast<std::size_t>(o.at(key).as_number());
+    return obs::json::size_member(o, key);
+  };
+  const auto int_at = [&](const Value& o, const char* key) {
+    const std::uint64_t n = size_at(o, key);
+    PT_REQUIRE(n <= static_cast<std::uint64_t>(std::numeric_limits<int>::max()),
+               std::string("'") + key + "' is out of range");
+    return static_cast<int>(n);
   };
 
   ml::ForestParams fp;
@@ -137,7 +144,7 @@ apps::TuningConfig config_from_json(const Value& v) {
   fp.max_depth = size_at(forest, "max_depth");
   fp.min_samples_leaf = size_at(forest, "min_samples_leaf");
   fp.min_samples_split = size_at(forest, "min_samples_split");
-  fp.seed = static_cast<std::uint64_t>(forest.at("seed").as_number());
+  fp.seed = size_at(forest, "seed");
   fp.parallel_fit = forest.at("parallel_fit").as_bool();
 
   tuner::FailureBudget fb;
@@ -167,7 +174,7 @@ apps::TuningConfig config_from_json(const Value& v) {
   fa.delay_seconds = faults.at("delay_seconds").as_number();
   fa.spike_rate = faults.at("spike_rate").as_number();
   fa.spike_factor = faults.at("spike_factor").as_number();
-  fa.seed = static_cast<std::uint64_t>(faults.at("seed").as_number());
+  fa.seed = size_at(faults, "seed");
 
   tuner::RetryPolicy rp;
   const Value& retry = v.at("retry");
@@ -182,15 +189,19 @@ apps::TuningConfig config_from_json(const Value& v) {
   rp.quarantine_timeout = retry.at("quarantine_timeout").as_bool();
   rp.quarantine_exhausted = retry.at("quarantine_exhausted").as_bool();
 
+  const int compiler_index = int_at(v, "compiler");
+  PT_REQUIRE(compiler_index <= static_cast<int>(sim::Compiler::Intel),
+             "'compiler' is out of range");
+  const auto compiler = static_cast<sim::Compiler>(compiler_index);
+
   apps::TuningConfig cfg;
   cfg.problem(v.at("problem").as_string())
       .machine(v.at("machine").as_string())
       .source_machine(v.at("source_machine").as_string())
-      .compiler(static_cast<sim::Compiler>(
-          static_cast<int>(v.at("compiler").as_number())))
-      .kernel_threads(static_cast<int>(v.at("kernel_threads").as_number()))
+      .compiler(compiler)
+      .kernel_threads(int_at(v, "kernel_threads"))
       .max_evals(size_at(v, "max_evals"))
-      .seed(static_cast<std::uint64_t>(v.at("seed").as_number()))
+      .seed(size_at(v, "seed"))
       .pool_size(size_at(v, "pool_size"))
       .delta_percent(v.at("delta_percent").as_number())
       .forest(fp)

@@ -75,11 +75,16 @@ double ParamSpace::value(const ParamConfig& c, const std::string& name) const {
 }
 
 std::vector<double> ParamSpace::features(const ParamConfig& c) const {
-  validate(c);
   std::vector<double> f(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    f[i] = params_[i].values[static_cast<std::size_t>(c[i])];
+  encode(c, f);
   return f;
+}
+
+void ParamSpace::encode(const ParamConfig& c, std::span<double> out) const {
+  validate(c);
+  PT_REQUIRE(out.size() == params_.size(), "feature buffer arity mismatch");
+  for (std::size_t i = 0; i < params_.size(); ++i)
+    out[i] = params_[i].values[static_cast<std::size_t>(c[i])];
 }
 
 std::uint64_t ParamSpace::config_hash(const ParamConfig& c) const {

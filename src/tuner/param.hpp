@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,9 @@ class ParamSpace {
 
   /// Feature vector (actual values) for the surrogate model.
   std::vector<double> features(const ParamConfig& c) const;
+  /// features() written into `out` (num_params() slots), e.g. one row of
+  /// a pool's feature matrix.
+  void encode(const ParamConfig& c, std::span<double> out) const;
 
   /// Stable 64-bit hash of a configuration (noise keys, dedup sets).
   std::uint64_t config_hash(const ParamConfig& c) const;

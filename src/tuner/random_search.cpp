@@ -111,13 +111,15 @@ SearchTrace pruned_random_search(Evaluator& eval,
   ConfigStream stream(space, opt.seed);
   std::size_t draws = 0;
   std::size_t pruned = 0;
+  std::vector<double> x(space.num_params());
   // The stream runs dry after max_draws draws, pruned ones included.
   FnSource source([&](Draw& out) {
     while (draws < opt.max_draws) {
       auto config = stream.next();
       if (!config) return false;
       ++draws;
-      const double predicted = model.predict(space.features(*config));
+      space.encode(*config, x);
+      const double predicted = model.predict(x);
       const GuardState state =
           monitor ? monitor->state() : GuardState::Trusted;
       if (state != GuardState::Disabled &&

@@ -1,38 +1,118 @@
 #include "tuner/search_loop.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <optional>
 
 #include "obs/scoped_timer.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 
 namespace portatune::tuner {
 
+PackedConfigs::PackedConfigs(const ParamSpace& space) : stride_(1) {
+  unsigned used = 0;  // bits taken in the last word
+  for (const ParamDef& p : space.params()) {
+    const auto width =
+        static_cast<unsigned>(std::bit_width(p.values.size() - 1));
+    if (width == 0) {  // one value: index 0, no bits
+      fields_.push_back({});
+      continue;
+    }
+    if (width > 64 - used) {
+      ++stride_;
+      used = 0;
+    }
+    fields_.push_back({stride_ - 1, used,
+                       width == 64 ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << width) - 1});
+    used += width;
+  }
+}
+
+void PackedConfigs::push_back(const ParamConfig& c) {
+  PT_REQUIRE(c.size() == fields_.size(), "configuration arity mismatch");
+  words_.resize(words_.size() + stride_, 0);
+  std::uint64_t* w = words_.data() + size_ * stride_;
+  for (std::size_t p = 0; p < fields_.size(); ++p) {
+    const auto v = static_cast<std::uint64_t>(c[p]);
+    PT_REQUIRE(c[p] >= 0 && v <= fields_[p].mask, "value index out of range");
+    w[fields_[p].word] |= v << fields_[p].shift;
+  }
+  ++size_;
+}
+
+void PackedConfigs::get(std::size_t i, ParamConfig& out) const {
+  PT_ASSERT(i < size_);
+  const std::uint64_t* w = words_.data() + i * stride_;
+  out.resize(fields_.size());
+  for (std::size_t p = 0; p < fields_.size(); ++p)
+    out[p] = static_cast<int>(w[fields_[p].word] >> fields_[p].shift &
+                              fields_[p].mask);
+}
+
+ParamConfig PackedConfigs::operator[](std::size_t i) const {
+  ParamConfig out;
+  get(i, out);
+  return out;
+}
+
 namespace {
 
+/// Close `span` and, when `traced` (the caller's one enabled() check),
+/// open `name` in its place: the Debug-level children of the enclosing
+/// rank span (search.RS_b.rank, search.RS_p.cutoff, session.rank).
+void next_span(std::optional<obs::ScopedTimer>& span, bool traced,
+               const char* name, std::size_t rows) {
+  span.reset();
+  if (traced)
+    span.emplace(name, "search", std::vector<obs::Field>{{"rows", rows}},
+                 nullptr, obs::Severity::Debug);
+}
+
+/// Bound on the encoded rows rank() holds at once. Every paper space but
+/// the raytracer's 247 flags fits a 10 000-row pool in one matrix; that
+/// one is encoded and predicted in chunks, so a rank never holds
+/// N x 247 doubles (20 MB) on top of the pool.
+constexpr std::size_t kMaxMatrixBytes = std::size_t{2} << 20;
+
 /// Rank `pool` by `model`, ascending; nullptr restores draw order and
-/// keeps the current predictions. predict() is a pure const read of the
-/// fitted model, so fanning it out over the shared pool is deterministic.
-/// Small pools stay serial — dispatch would cost more than it saves.
+/// keeps the current predictions. The pool is encoded into a row-major
+/// matrix that lives only for the batched predict_rows() call it feeds:
+/// one call, or one per kMaxMatrixBytes chunk of a wide space.
+/// Prediction i depends only on configs[i], so the ranking is the same at
+/// any thread count.
 void rank(RankedPool& pool, const ml::Regressor* model,
-          const ParamSpace& space) {
+          const ParamSpace& space, bool traced) {
   if (model == nullptr) {
     pool.order.resize(pool.configs.size());
     std::iota(pool.order.begin(), pool.order.end(), std::size_t{0});
     return;
   }
-  pool.predicted.resize(pool.configs.size());
-  const auto body = [&](std::size_t i) {
-    pool.predicted[i] = model->predict(space.features(pool.configs[i]));
-  };
-  constexpr std::size_t kParallelThreshold = 256;
-  if (pool.configs.size() >= kParallelThreshold)
-    ThreadPool::global().parallel_for(0, pool.configs.size(), body);
-  else
-    for (std::size_t i = 0; i < pool.configs.size(); ++i) body(i);
+  const std::size_t n = pool.configs.size();
+  const std::size_t cols = space.num_params();
+  const std::size_t chunk = std::clamp<std::size_t>(
+      kMaxMatrixBytes / (std::max<std::size_t>(1, cols) * sizeof(double)), 1,
+      n);
+  pool.predicted.resize(n);
+  std::optional<obs::ScopedTimer> span;
+  {
+    std::vector<double> rows(chunk * cols);
+    ParamConfig config;
+    for (std::size_t lo = 0; lo < n; lo += chunk) {
+      const std::size_t m = std::min(chunk, n - lo);
+      next_span(span, traced, "pool.encode", m);
+      for (std::size_t i = 0; i < m; ++i) {
+        pool.configs.get(lo + i, config);
+        space.encode(config, std::span(rows).subspan(i * cols, cols));
+      }
+      next_span(span, traced, "pool.predict", m);
+      model->predict_rows(std::span(rows).first(m * cols), cols,
+                          std::span(pool.predicted).subspan(lo, m));
+    }
+  }
+  next_span(span, traced, "pool.argsort", n);
   pool.order = argsort(pool.predicted);
 }
 
@@ -40,16 +120,22 @@ void rank(RankedPool& pool, const ml::Regressor* model,
 
 RankedPool rank_pool(const ml::Regressor* model, const ParamSpace& space,
                      std::uint64_t seed, std::size_t size) {
+  const bool traced = obs::enabled(obs::Severity::Debug);
   RankedPool pool;
-  ConfigStream stream(space, seed);
-  pool.configs.reserve(size);
-  while (pool.configs.size() < size) {
-    auto c = stream.next();
-    if (!c) break;
-    pool.configs.push_back(std::move(*c));
+  pool.configs = PackedConfigs(space);
+  {
+    std::optional<obs::ScopedTimer> span;
+    next_span(span, traced, "pool.sample", size);
+    ConfigStream stream(space, seed);
+    pool.configs.reserve(size);
+    while (pool.configs.size() < size) {
+      auto c = stream.next();
+      if (!c) break;
+      pool.configs.push_back(*c);
+    }
   }
   PT_REQUIRE(!pool.configs.empty(), "empty candidate pool");
-  rank(pool, model, space);
+  rank(pool, model, space, traced);
   return pool;
 }
 
@@ -59,7 +145,7 @@ PoolSource::PoolSource(RankedPool pool, const ParamSpace& space)
       used_(pool_.configs.size(), false) {}
 
 void PoolSource::rerank(const ml::Regressor* model) {
-  rank(pool_, model, space_);
+  rank(pool_, model, space_, obs::enabled(obs::Severity::Debug));
   cursor_ = 0;
 }
 

@@ -19,7 +19,8 @@
 // Internal to the tuner: random_search, the model-free controls,
 // adaptive_biased_search, the six heuristics and TuningSession are thin
 // configurations of this loop, and rank_pool() is the single
-// sample -> predict -> argsort routine behind every surrogate-ranked pool.
+// sample -> encode -> predict -> argsort routine behind every
+// surrogate-ranked pool.
 #pragma once
 
 #include <functional>
@@ -93,18 +94,50 @@ class FnSource final : public DrawSource {
   F fn_;
 };
 
+/// Configurations of one space, each parameter packed into the fewest
+/// bits its value count needs: a raytracer configuration (247 flags)
+/// takes 32 bytes instead of a 1 KB vector, so a grid's concurrent cells
+/// and a daemon's sessions each hold a 10 000-configuration pool cheaply.
+class PackedConfigs {
+ public:
+  PackedConfigs() = default;
+  explicit PackedConfigs(const ParamSpace& space);
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  void reserve(std::size_t n) { words_.reserve(n * stride_); }
+  /// `c` must be valid for the space.
+  void push_back(const ParamConfig& c);
+  ParamConfig operator[](std::size_t i) const;
+  /// operator[] into `out`, reusing its storage.
+  void get(std::size_t i, ParamConfig& out) const;
+
+ private:
+  struct Field {
+    std::size_t word = 0;  ///< within one configuration's words
+    unsigned shift = 0;
+    std::uint64_t mask = 0;
+  };
+  std::vector<Field> fields_;  ///< one per parameter
+  std::size_t stride_ = 0;     ///< words per configuration
+  std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
+};
+
 /// A candidate pool in draw order plus its surrogate ranking.
 struct RankedPool {
-  std::vector<ParamConfig> configs;  ///< ConfigStream draw order
-  std::vector<double> predicted;     ///< for configs[i]; empty: unranked
-  std::vector<std::size_t> order;    ///< pool indices, ascending prediction
+  PackedConfigs configs;           ///< ConfigStream draw order
+  std::vector<double> predicted;   ///< for configs[i]; empty: unranked
+  std::vector<std::size_t> order;  ///< pool indices, ascending prediction
 };
 
 /// Draw up to `size` configurations from ConfigStream(space, seed) and
 /// rank them by `model`'s prediction, ascending (nullptr: draw order, no
-/// predictions). Pools of 256 or more encode and predict row i inside a
-/// global-pool parallel_for; prediction i depends only on configs[i], so
-/// the ranking is identical at any thread count. Throws on an empty pool.
+/// predictions). The pool is encoded once and predicted by one
+/// Regressor::predict_rows() call (one per 2 MiB of encoded rows for
+/// spaces too wide for that). At Debug level it emits the child spans
+/// pool.sample, pool.encode, pool.predict and pool.argsort. Throws on an
+/// empty pool.
 RankedPool rank_pool(const ml::Regressor* model, const ParamSpace& space,
                      std::uint64_t seed, std::size_t size);
 

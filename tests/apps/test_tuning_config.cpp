@@ -37,6 +37,10 @@ TEST(TuningConfigTest, ValidationNamesTheOffendingField) {
   expect_rejects(TuningConfig{}.machine(""), "machine");
   expect_rejects(TuningConfig{}.max_evals(0), "max_evals");
   expect_rejects(TuningConfig{}.pool_size(0), "pool_size");
+  expect_rejects(TuningConfig{}.pool_size(TuningConfig::kMaxPoolSize + 1),
+                 "pool_size");
+  EXPECT_NO_THROW(
+      TuningConfig{}.pool_size(TuningConfig::kMaxPoolSize).validate());
   expect_rejects(TuningConfig{}.delta_percent(0.0), "delta_percent");
   expect_rejects(TuningConfig{}.delta_percent(100.0), "delta_percent");
   expect_rejects(TuningConfig{}.kernel_threads(0), "kernel_threads");

@@ -50,7 +50,7 @@ TEST(RandomForest, DeterministicForSeed) {
   for (int i = 0; i < 20; ++i) {
     std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(),
                           rng.uniform()};
-    EXPECT_DOUBLE_EQ(a.predict(x), b.predict(x));
+    EXPECT_EQ(a.predict(x), b.predict(x));
   }
 }
 
@@ -69,7 +69,7 @@ TEST(RandomForest, SerialAndParallelFitAgree) {
   for (int i = 0; i < 20; ++i) {
     std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(),
                           rng.uniform()};
-    EXPECT_DOUBLE_EQ(serial.predict(x), parallel.predict(x));
+    EXPECT_EQ(serial.predict(x), parallel.predict(x));
   }
 }
 
@@ -100,9 +100,10 @@ TEST(RandomForest, OobRmseIsFiniteAndReasonable) {
   p.num_trees = 32;
   RandomForest f(p);
   f.fit(d);
-  EXPECT_TRUE(std::isfinite(f.oob_rmse()));
-  EXPECT_GT(f.oob_rmse(), 0.0);
-  EXPECT_LT(f.oob_rmse(), 10.0);
+  const double oob = f.oob_rmse(d);
+  EXPECT_TRUE(std::isfinite(oob));
+  EXPECT_GT(oob, 0.0);
+  EXPECT_LT(oob, 10.0);
 }
 
 TEST(RandomForest, ImportancesIdentifyRelevantFeatures) {
@@ -111,7 +112,7 @@ TEST(RandomForest, ImportancesIdentifyRelevantFeatures) {
   p.num_trees = 32;
   RandomForest f(p);
   f.fit(d);
-  const auto imp = f.feature_importances();
+  const auto imp = f.feature_importances(d);
   ASSERT_EQ(imp.size(), 4u);
   double sum = 0;
   for (double v : imp) sum += v;
@@ -126,9 +127,45 @@ TEST(RandomForest, PredictBatchMatchesScalarPredict) {
   p.num_trees = 8;
   RandomForest f(p);
   f.fit(d);
-  const auto batch = f.predict_batch(d);
-  for (std::size_t i = 0; i < d.num_rows(); ++i)
-    EXPECT_DOUBLE_EQ(batch[i], f.predict(d.row(i)));
+  // The training rows take the serial path; 2053 more rows take several
+  // parallel row blocks and a short tail, and some carry a NaN feature
+  // (the child test sends it right).
+  Dataset rows = d;
+  Rng rng(17);
+  for (std::size_t i = 0; i < 2053; ++i) {
+    std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(),
+                          rng.uniform()};
+    if (i % 97 == 0) x[i % 4] = std::nan("");
+    rows.add_row(x, 0.0);
+  }
+  const Dataset* sets[] = {&d, &rows};
+  for (const Dataset* data : sets) {
+    const auto batch = f.predict_batch(*data);
+    ASSERT_EQ(batch.size(), data->num_rows());
+    for (std::size_t i = 0; i < data->num_rows(); ++i)
+      EXPECT_EQ(batch[i], f.predict(data->row(i))) << "row " << i;
+  }
+}
+
+TEST(RandomForest, BatchRejectsWrongShape) {
+  const auto d = friedman_like(50, 18);
+  ForestParams p;
+  p.num_trees = 4;
+  RandomForest f(p);
+  f.fit(d);
+  std::vector<double> out(2);
+  const std::vector<double> rows(6, 0.5);
+  EXPECT_THROW(f.predict_rows(rows, 3, out), Error);  // 3 != 4 features
+  const std::vector<double> short_rows(7, 0.5);
+  EXPECT_THROW(f.predict_rows(short_rows, 4, out), Error);
+  EXPECT_THROW(f.oob_rmse(Dataset(3)), Error);
+}
+
+TEST(RandomForest, DiagnosticsBeforeFitThrow) {
+  const auto d = friedman_like(20, 19);
+  RandomForest f;
+  EXPECT_THROW(f.oob_rmse(d), Error);
+  EXPECT_THROW(f.feature_importances(d), Error);
 }
 
 class ForestSizeSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -174,6 +175,38 @@ TEST_F(ServiceProtocolTest, ErrorsAreRepliesNeverThrows) {
     EXPECT_FALSE(reply.at("error").as_string().empty()) << line;
     EXPECT_FALSE(shutdown) << line;
   }
+}
+
+TEST_F(ServiceProtocolTest, OpenRejectsOutOfRangeNumbers) {
+  // Each of these once reached an unchecked integer cast: -5 and 1e300
+  // are out of range (undefined behaviour), 2.5 truncated to 2, and 2e6
+  // built a pool large enough to hold the poll thread for seconds.
+  const std::pair<const char*, const char*> hostile[] = {
+      {R"("max_evals":-5)", "max_evals"},
+      {R"("pool_size":2.5)", "pool_size"},
+      {R"("pool_size":1e300)", "pool_size"},
+      {R"("pool_size":2e6)", "pool_size"},
+      {R"("seed":1.8446744073709552e19)", "seed"},
+      {R"("eval_threads":-1)", "eval_threads"},
+  };
+  for (const auto& [member, field] : hostile) {
+    const auto reply =
+        call(std::string(R"({"op":"open","id":"h","problem":"LU",)"
+                         R"("machine":"Westmere",)") +
+             member + "}");
+    EXPECT_FALSE(reply.at("ok").as_bool()) << member;
+    const std::string error =
+        reply.find("error") != nullptr ? reply.at("error").as_string() : "";
+    EXPECT_NE(error.find(field), std::string::npos) << member << ": " << error;
+  }
+  // The daemon still serves, and the id was never taken.
+  EXPECT_TRUE(open_session("h").at("ok").as_bool());
+  // A value index beyond int range is rejected before any cast.
+  const auto report = call(
+      R"({"op":"report","id":"h","config":[1e300,0,0,0,0,0,0,0,0],)"
+      R"("seconds":1})");
+  EXPECT_FALSE(report.at("ok").as_bool());
+  EXPECT_NE(report.at("error").as_string().find("config"), std::string::npos);
 }
 
 TEST_F(ServiceProtocolTest, ShutdownSetsTheFlag) {

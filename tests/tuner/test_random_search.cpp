@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ml/forest.hpp"
+#include "obs/sink.hpp"
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
 #include "support/stats.hpp"
 #include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 #include "tuner/transfer.hpp"
 
 namespace portatune::tuner {
@@ -172,6 +176,75 @@ TEST(BiasedSearch, EvaluatesInAscendingPredictedOrder) {
     EXPECT_GE(pred, prev - 1e-12);
     prev = pred;
   }
+}
+
+TEST(PackedConfigs, RoundTripsEveryFieldWidth) {
+  // Widths 0 (one value), 1, 2, 10 and 17 bits, and enough flags that
+  // fields fill several 64-bit words.
+  ParamSpace space;
+  space.add("one", {4.0});
+  space.add("flag", flag_values());
+  space.add("three", range_values(0, 2));
+  space.add("wide", range_values(0, 999));
+  space.add("large", range_values(0, 100000));
+  for (int i = 0; i < 70; ++i)
+    space.add("f" + std::to_string(i), flag_values());
+  PackedConfigs packed(space);
+  std::vector<ParamConfig> plain;
+  Rng rng(9);
+  for (int i = 0; i < 200; ++i) {
+    plain.push_back(space.random_config(rng));
+    packed.push_back(plain.back());
+  }
+  ParamConfig last = space.default_config();
+  last[3] = 999;
+  last[4] = 100000;
+  plain.push_back(last);
+  packed.push_back(last);
+  ASSERT_EQ(packed.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i)
+    EXPECT_EQ(packed[i], plain[i]) << "config " << i;
+  ParamConfig bad = space.default_config();
+  bad[2] = 4;  // does not fit the field's 2 bits
+  EXPECT_THROW(packed.push_back(bad), Error);
+}
+
+TEST(BiasedSearch, RankSpanSplitsIntoPoolPhases) {
+  // At Debug level the rank span has exactly four children, in order,
+  // and they account for no more than its own duration.
+  auto a = machine_a();
+  SearchOptions rs_opt;
+  rs_opt.max_evals = 60;
+  rs_opt.seed = 3;
+  const auto model = fit_model(random_search(a, rs_opt), a.space());
+  auto b = machine_b();
+  SearchOptions opt;
+  opt.max_evals = 10;
+  opt.seed = 3;
+  opt.pool_size = 2000;
+  obs::MemorySink sink;
+  {
+    obs::ScopedSinkRedirect redirect(&sink, obs::Severity::Debug);
+    biased_random_search(b, *model, opt);
+  }
+  const std::vector<obs::Event> events = sink.events();
+  const auto rank =
+      std::find_if(events.begin(), events.end(), [](const obs::Event& e) {
+        return e.name == "search.RS_b.rank";
+      });
+  ASSERT_NE(rank, events.end());
+  ASSERT_NE(rank->span_id, 0u);
+  std::vector<std::string> children;
+  double child_seconds = 0.0;
+  for (const obs::Event& e : events)
+    if (e.parent_span_id == rank->span_id) {
+      children.push_back(e.name);
+      child_seconds += e.duration_seconds;
+    }
+  EXPECT_EQ(children, (std::vector<std::string>{"pool.sample", "pool.encode",
+                                                "pool.predict",
+                                                "pool.argsort"}));
+  EXPECT_LE(child_seconds, rank->duration_seconds);
 }
 
 TEST(BiasedSearch, TransfersOptimumOnCorrelatedMachines) {
