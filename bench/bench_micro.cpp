@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "apps/registry.hpp"
 #include "bench/common.hpp"
 #include "kernels/sim_evaluator.hpp"
 #include "kernels/spapt.hpp"
@@ -33,6 +34,7 @@
 #include "tuner/parallel.hpp"
 #include "tuner/random_search.hpp"
 #include "tuner/sampler.hpp"
+#include "tuner/search_loop.hpp"
 
 namespace {
 
@@ -58,8 +60,23 @@ ml::Dataset lu_training_data() {
   return tuner::random_search(wm, opt).to_dataset(lu->space());
 }
 
-void BM_ForestFit(benchmark::State& state) {
-  const auto data = lu_training_data();
+/// A surrogate's T_a as a transfer cell fits it: 100 random-search
+/// evaluations on Westmere at seed 7. LU has 9 columns; the raytracer
+/// (RT) has 247 compiler flags, the widest input the forest sees.
+struct SurrogateInput {
+  tuner::EvaluatorPtr eval;
+  ml::Dataset train;
+  explicit SurrogateInput(const std::string& problem)
+      : eval(apps::make_simulated_evaluator(problem, "Westmere")) {
+    tuner::SearchOptions opt;
+    opt.max_evals = 100;
+    opt.seed = 7;
+    train = tuner::random_search(*eval, opt).to_dataset(eval->space());
+  }
+};
+
+void BM_ForestFit(benchmark::State& state, ml::Dataset (*input)()) {
+  const auto data = input();
   ml::ForestParams fp;
   fp.num_trees = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -68,7 +85,28 @@ void BM_ForestFit(benchmark::State& state) {
     benchmark::DoNotOptimize(forest.num_trees());
   }
 }
-BENCHMARK(BM_ForestFit)->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_ForestFit, LU, lu_training_data)->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_ForestFit, RT, [] { return SurrogateInput("RT").train; })
+    ->Arg(64);
+
+/// One transfer cell's pool rank: draw a 10 000-configuration pool and
+/// rank it by the default forest, as RS_p's cutoff and RS_b do. Unlike
+/// BM_ForestPredict, the rows are distinct draws, so the walks take the
+/// branches a real pool takes.
+void BM_RankPool(benchmark::State& state, const char* problem) {
+  const SurrogateInput input(problem);
+  ml::RandomForest forest;
+  forest.fit(input.train);
+  std::uint64_t seed = 1;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        tuner::rank_pool(&forest, input.eval->space(), seed++, 10000));
+  state.SetItemsProcessed(state.iterations() * 10000);
+}
+BENCHMARK_CAPTURE(BM_RankPool, LU, "LU")
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RankPool, RT, "RT")
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_ForestPredict(benchmark::State& state) {
   const auto data = lu_training_data();

@@ -1,7 +1,5 @@
 #include "ml/dataset.hpp"
 
-#include <algorithm>
-
 #include "support/error.hpp"
 
 namespace portatune::ml {
@@ -25,33 +23,6 @@ std::string Dataset::feature_name(std::size_t j) const {
   PT_REQUIRE(j < num_features_, "feature index out of range");
   if (j < feature_names_.size()) return feature_names_[j];
   return "x" + std::to_string(j);
-}
-
-Dataset Dataset::bootstrap(Rng& rng) const {
-  Dataset out(num_features_, feature_names_);
-  out.features_.reserve(features_.size());
-  out.targets_.reserve(targets_.size());
-  for (std::size_t i = 0; i < num_rows(); ++i) {
-    const auto pick = static_cast<std::size_t>(rng.below(num_rows()));
-    out.add_row(row(pick), target(pick));
-  }
-  return out;
-}
-
-std::pair<Dataset, Dataset> Dataset::split(double test_fraction,
-                                           Rng& rng) const {
-  PT_REQUIRE(test_fraction >= 0.0 && test_fraction <= 1.0,
-             "test_fraction must lie in [0,1]");
-  auto order = rng.permutation(num_rows());
-  const auto test_count = static_cast<std::size_t>(
-      test_fraction * static_cast<double>(num_rows()));
-  Dataset train(num_features_, feature_names_);
-  Dataset test(num_features_, feature_names_);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    Dataset& dst = (i < test_count) ? test : train;
-    dst.add_row(row(order[i]), target(order[i]));
-  }
-  return {std::move(train), std::move(test)};
 }
 
 Dataset Dataset::subset(std::span<const std::size_t> rows) const {

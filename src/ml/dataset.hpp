@@ -9,8 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "support/rng.hpp"
-
 namespace portatune::ml {
 
 class Dataset {
@@ -42,13 +40,6 @@ class Dataset {
   }
   /// Name of feature `j`, or "x<j>" when unnamed.
   std::string feature_name(std::size_t j) const;
-
-  /// Bootstrap resample of the same size (sampling rows with replacement).
-  Dataset bootstrap(Rng& rng) const;
-
-  /// Split into (train, test) with `test_fraction` of rows held out,
-  /// shuffled by `rng`.
-  std::pair<Dataset, Dataset> split(double test_fraction, Rng& rng) const;
 
   /// Subset by row indices.
   Dataset subset(std::span<const std::size_t> rows) const;

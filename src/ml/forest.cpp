@@ -62,6 +62,7 @@ void RandomForest::fit(const Dataset& train) {
           ? params_.max_features
           : std::max<std::size_t>(1, (m + 2) / 3);  // ceil(m/3)
 
+  const CodedDataset coded(train);
   const std::vector<TreeSeeds> seeds = tree_seeds(params_);
   std::vector<RegressionTree> trees;
   trees.reserve(params_.num_trees);
@@ -76,7 +77,7 @@ void RandomForest::fit(const Dataset& train) {
   }
 
   const auto fit_one = [&](std::size_t t) {
-    trees[t].fit(train.subset(bootstrap_bag(seeds[t].bag, train.num_rows())));
+    trees[t].fit(coded, bootstrap_bag(seeds[t].bag, train.num_rows()));
   };
   if (params_.parallel_fit && params_.num_trees > 1) {
     ThreadPool::global().parallel_for(0, params_.num_trees, fit_one);
@@ -214,13 +215,12 @@ void RandomForest::predict_rows(std::span<const double> rows,
       kBlockBytes / (std::max<std::size_t>(1, cols) * sizeof(double)), 128,
       kMaxBlock);
   const double trees = static_cast<double>(roots_.size());
-  const auto run = [&](std::size_t b) {
-    const std::size_t lo = b * block;
+  std::size_t at[kMaxBlock];
+  std::uint64_t live[kMaxBlock];
+  for (std::size_t lo = 0; lo < out.size(); lo += block) {
     const std::size_t n = std::min(out.size(), lo + block) - lo;
     const double* x = rows.data() + lo * cols;
     double* y = out.data() + lo;
-    std::size_t at[kMaxBlock];
-    std::uint64_t live[kMaxBlock];
     std::fill(y, y + n, 0.0);
     for (const std::size_t root : roots_) {
       std::fill(at, at + n, root);
@@ -229,13 +229,7 @@ void RandomForest::predict_rows(std::span<const double> rows,
       for (std::size_t r = 0; r < n; ++r) y[r] += nodes_[at[r]].threshold;
     }
     for (std::size_t r = 0; r < n; ++r) y[r] /= trees;
-  };
-  const std::size_t blocks = (out.size() + block - 1) / block;
-  constexpr std::size_t kParallelRows = 256;
-  if (out.size() >= kParallelRows)
-    ThreadPool::global().parallel_for(0, blocks, run);
-  else
-    for (std::size_t b = 0; b < blocks; ++b) run(b);
+  }
 }
 
 }  // namespace portatune::ml

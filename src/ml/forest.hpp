@@ -5,14 +5,19 @@
 // prediction is the mean of the trees' predictions. Tree fitting is
 // parallelized over the support thread pool.
 //
-// fit() fits the trees and nothing else, then concatenates them into one
-// contiguous array of 16-byte TreeNodes (each tree in pre-order, its
-// right-child indices offset to the shared array). predict() walks one
-// lane per tree, the batched predict_rows() one lane per row of an
-// L1-sized block, tree by tree; both sum a row's tree outputs in tree
-// order before one division, so a batch prediction equals the single-row
-// one bit for bit. The out-of-bag error and the permutation importances
-// are diagnostics, computed only when asked for.
+// fit() fits the trees and nothing else. It codes T_a once for the exact
+// linear-time split search (CodedDataset, tree.hpp: O(rows at a node +
+// a column's distinct values) per sampled feature; a NaN feature
+// throws) and shares the coding read-only across the trees, each of
+// which fits on its bootstrap bag as row indices, without copying rows.
+// It then concatenates the trees into one contiguous array of 16-byte
+// TreeNodes (each tree in pre-order, its right-child indices offset to
+// the shared array). predict() walks one lane per tree, the batched
+// predict_rows() one lane per row of an L1-sized block, tree by tree;
+// both sum a row's tree outputs in tree order before one division, so a
+// batch prediction equals the single-row one bit for bit. The
+// out-of-bag error and the permutation importances are diagnostics,
+// computed only when asked for.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +44,8 @@ class RandomForest final : public Regressor {
 
   void fit(const Dataset& train) override;
   double predict(std::span<const double> x) const override;
-  /// Tree-major over cache-sized row blocks; blocks run in parallel on
-  /// the global pool for 256 rows or more.
+  /// Tree-major over cache-sized row blocks, serially on the calling
+  /// thread: callers with many rows (rank_pool) fan out themselves.
   void predict_rows(std::span<const double> rows, std::size_t cols,
                     std::span<double> out) const override;
   bool is_fitted() const noexcept override { return !roots_.empty(); }

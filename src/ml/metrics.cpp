@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "support/stats.hpp"
 
 namespace portatune::ml {

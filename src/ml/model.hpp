@@ -27,7 +27,9 @@ class Regressor {
   /// Predict every row of the row-major matrix `rows` (`cols` features
   /// per row) into `out`, one slot per row; out[i] equals predict() of
   /// row i exactly. The one batch entry point: the default loops over
-  /// predict(), the random forest walks its trees over row blocks.
+  /// predict(), the random forest walks its trees over row blocks. It
+  /// runs serially on the calling thread; a caller with many rows fans
+  /// out over row blocks itself (rank_pool).
   virtual void predict_rows(std::span<const double> rows, std::size_t cols,
                             std::span<double> out) const;
 

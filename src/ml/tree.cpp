@@ -1,71 +1,155 @@
 #include "ml/tree.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "support/error.hpp"
 
 namespace portatune::ml {
 
+CodedDataset::CodedDataset(const Dataset& data)
+    : targets_(data.targets().begin(), data.targets().end()) {
+  PT_REQUIRE(!data.empty(), "cannot fit a tree on an empty dataset");
+  PT_REQUIRE(data.num_rows() <= UINT32_MAX, "too many training rows");
+  const std::size_t n = data.num_rows();
+  const std::size_t m = data.num_features();
+  offsets_.reserve(m + 1);
+  offsets_.push_back(0);
+  codes_.resize(m * n);
+  std::vector<double> column(n);
+  for (std::size_t f = 0; f < m; ++f) {
+    for (std::size_t r = 0; r < n; ++r) {
+      column[r] = data.row(r)[f];
+      PT_REQUIRE(!std::isnan(column[r]),
+                 "NaN training feature (row " + std::to_string(r) +
+                     ", column " + std::to_string(f) + ")");
+    }
+    std::vector<double> distinct = column;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    for (std::size_t r = 0; r < n; ++r)
+      codes_[f * n + r] = static_cast<std::uint32_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), column[r]) -
+          distinct.begin());
+    values_.insert(values_.end(), distinct.begin(), distinct.end());
+    offsets_.push_back(values_.size());
+  }
+  by_target_.resize(n);
+  std::iota(by_target_.begin(), by_target_.end(), std::uint32_t{0});
+  std::stable_sort(by_target_.begin(), by_target_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return targets_[a] < targets_[b];
+                   });
+}
+
+/// One fit's node rows and scratch. Node rows are the range [lo, hi) of
+/// both `bag` (bag order) and `sorted` (target order); a split partitions
+/// both ranges stably, so every node's rows stay in both orders.
+struct RegressionTree::Builder {
+  const CodedDataset& data;
+  std::vector<std::uint32_t> bag;
+  std::vector<std::uint32_t> sorted;
+  std::vector<std::uint32_t> spill;  ///< a partition's right-going rows
+  std::vector<std::size_t> ends;     ///< per value code: end of its group
+  std::vector<double> grouped;       ///< targets, by value then target
+  std::vector<char> goes_left;       ///< per value code, for a split
+  Rng rng;
+};
+
 void RegressionTree::fit(const Dataset& train) {
-  PT_REQUIRE(!train.empty(), "cannot fit a tree on an empty dataset");
+  std::vector<std::size_t> rows(train.num_rows());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  fit(CodedDataset(train), rows);
+}
+
+void RegressionTree::fit(const CodedDataset& train,
+                         std::span<const std::size_t> bag) {
+  PT_REQUIRE(!bag.empty(), "cannot fit a tree on an empty dataset");
   PT_REQUIRE(train.num_features() <= UINT32_MAX, "too many features");
   nodes_.clear();
   samples_.clear();
   depth_ = 0;
   num_features_ = train.num_features();
-  std::vector<std::size_t> rows(train.num_rows());
-  std::iota(rows.begin(), rows.end(), std::size_t{0});
-  Rng rng(params_.seed);
-  build(train, rows, 0, rng);
+
+  const std::size_t n = train.num_rows();
+  std::size_t widest = 0;
+  for (std::size_t f = 0; f < num_features_; ++f)
+    widest = std::max(widest, train.values(f).size());
+  Builder b{train, {}, {}, std::vector<std::uint32_t>(bag.size()),
+            std::vector<std::size_t>(widest), std::vector<double>(bag.size()),
+            std::vector<char>(widest), Rng(params_.seed)};
+  // Bag order as given; target order by counting how often the bag holds
+  // each row and walking the rows in target order.
+  b.bag.reserve(bag.size());
+  std::vector<std::uint32_t> copies(n, 0);
+  for (std::size_t r : bag) {
+    PT_REQUIRE(r < n, "bag row index out of range");
+    b.bag.push_back(static_cast<std::uint32_t>(r));
+    ++copies[r];
+  }
+  b.sorted.reserve(bag.size());
+  for (std::uint32_t r : train.by_target())
+    b.sorted.insert(b.sorted.end(), copies[r], r);
+  build(b, 0, bag.size(), 0);
 }
 
-std::size_t RegressionTree::build(const Dataset& data,
-                                  std::vector<std::size_t>& rows,
-                                  std::size_t depth, Rng& rng) {
+std::size_t RegressionTree::build(Builder& b, std::size_t lo, std::size_t hi,
+                                  std::size_t depth) {
   // A leaf holding the mean target until a split is accepted.
   const std::size_t index = nodes_.size();
+  const std::size_t n = hi - lo;
   double sum = 0.0;
-  for (std::size_t r : rows) sum += data.target(r);
-  nodes_.push_back({sum / static_cast<double>(rows.size())});
-  samples_.push_back(rows.size());
+  for (std::size_t i = lo; i < hi; ++i) sum += b.data.target(b.bag[i]);
+  nodes_.push_back({sum / static_cast<double>(n)});
+  samples_.push_back(n);
   depth_ = std::max(depth_, depth);
 
   const bool depth_ok = params_.max_depth == 0 || depth < params_.max_depth;
-  if (!depth_ok || rows.size() < params_.min_samples_split) return index;
+  if (!depth_ok || n < params_.min_samples_split) return index;
 
-  const auto split = best_split(data, rows, rng);
+  const auto split = best_split(b, lo, hi);
   if (!split || split->gain <= params_.min_gain) return index;
 
-  std::vector<std::size_t> left_rows, right_rows;
-  left_rows.reserve(rows.size());
-  right_rows.reserve(rows.size());
-  for (std::size_t r : rows) {
-    if (data.row(r)[split->feature] <= split->threshold)
-      left_rows.push_back(r);
-    else
-      right_rows.push_back(r);
-  }
-  if (left_rows.size() < params_.min_samples_leaf ||
-      right_rows.size() < params_.min_samples_leaf)
+  // The test is `x[feature] <= threshold` on the actual values, decided
+  // once per value code.
+  const std::span<const double> values = b.data.values(split->feature);
+  const std::span<const std::uint32_t> code = b.data.codes(split->feature);
+  for (std::size_t c = 0; c < values.size(); ++c)
+    b.goes_left[c] = values[c] <= split->threshold;
+  const auto partition = [&](std::vector<std::uint32_t>& rows) {
+    std::size_t left = lo, right = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::uint32_t r = rows[i];
+      if (b.goes_left[code[r]])
+        rows[left++] = r;
+      else
+        b.spill[right++] = r;
+    }
+    std::copy_n(b.spill.begin(), right, rows.begin() + left);
+    return left;
+  };
+  const std::size_t mid = partition(b.bag);
+  partition(b.sorted);
+  if (mid - lo < params_.min_samples_leaf ||
+      hi - mid < params_.min_samples_leaf)
     return index;
-
-  rows.clear();
-  rows.shrink_to_fit();  // release before recursing; trees can be deep
 
   nodes_[index].feature = static_cast<std::uint32_t>(split->feature);
   nodes_[index].threshold = split->threshold;
-  build(data, left_rows, depth + 1, rng);  // pre-order: lands at index + 1
-  const std::size_t right = build(data, right_rows, depth + 1, rng);
+  build(b, lo, mid, depth + 1);  // pre-order: lands at index + 1
+  const std::size_t right = build(b, mid, hi, depth + 1);
   PT_REQUIRE(right <= UINT32_MAX, "tree too large for 32-bit node indices");
   nodes_[index].right = static_cast<std::uint32_t>(right);
   return index;
 }
 
 std::optional<RegressionTree::Split> RegressionTree::best_split(
-    const Dataset& data, std::span<const std::size_t> rows, Rng& rng) const {
-  const std::size_t n = rows.size();
+    Builder& b, std::size_t lo, std::size_t hi) const {
+  const std::size_t n = hi - lo;
   PT_ASSERT(n >= 2);
 
   // Candidate features: all, or a uniform subsample of max_features.
@@ -74,15 +158,15 @@ std::optional<RegressionTree::Split> RegressionTree::best_split(
     features.resize(num_features_);
     std::iota(features.begin(), features.end(), std::size_t{0});
   } else {
-    features = rng.sample_without_replacement(num_features_,
-                                              params_.max_features);
+    features = b.rng.sample_without_replacement(num_features_,
+                                                params_.max_features);
   }
 
   // Parent impurity as sum of squared deviations; gain is the reduction in
   // total SSE, which is equivalent to variance-reduction scoring.
   double parent_sum = 0.0, parent_sq = 0.0;
-  for (std::size_t r : rows) {
-    const double y = data.target(r);
+  for (std::size_t i = lo; i < hi; ++i) {
+    const double y = b.data.target(b.bag[i]);
     parent_sum += y;
     parent_sq += y * y;
   }
@@ -90,37 +174,50 @@ std::optional<RegressionTree::Split> RegressionTree::best_split(
       parent_sq - parent_sum * parent_sum / static_cast<double>(n);
 
   Split best;
-  std::vector<std::pair<double, double>> vals;  // (feature value, target)
-  vals.reserve(n);
   for (std::size_t f : features) {
-    vals.clear();
-    for (std::size_t r : rows) vals.emplace_back(data.row(r)[f],
-                                                 data.target(r));
-    std::sort(vals.begin(), vals.end());
-    if (vals.front().first == vals.back().first) continue;  // constant column
+    const std::span<const double> values = b.data.values(f);
+    const std::span<const std::uint32_t> code = b.data.codes(f);
+    // Group the node's targets by value code, stably: each group keeps
+    // target order, which is the order a sort of (value, target) pairs
+    // gives, and pairs that sort equal are equal in both.
+    std::fill_n(b.ends.begin(), values.size(), 0);
+    for (std::size_t i = lo; i < hi; ++i) ++b.ends[code[b.sorted[i]]];
+    if (b.ends[code[b.sorted[lo]]] == n) continue;  // constant at this node
+    std::size_t at = 0;
+    for (std::size_t c = 0; c < values.size(); ++c)
+      at = std::exchange(b.ends[c], at) + at;  // ends[c]: start of group c
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::uint32_t r = b.sorted[i];
+      b.grouped[b.ends[code[r]]++] = b.data.target(r);
+    }
 
-    // Scan split positions left-to-right, maintaining prefix sums.
+    // Scan the splits between consecutive non-empty groups, maintaining
+    // prefix sums in grouped order.
     double left_sum = 0.0, left_sq = 0.0;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const double y = vals[i].second;
-      left_sum += y;
-      left_sq += y * y;
-      if (vals[i].first == vals[i + 1].first) continue;  // can't split a tie
-      const auto nl = static_cast<double>(i + 1);
-      const auto nr = static_cast<double>(n - i - 1);
-      if (i + 1 < params_.min_samples_leaf ||
-          n - i - 1 < params_.min_samples_leaf)
-        continue;
-      const double right_sum = parent_sum - left_sum;
-      const double right_sq = parent_sq - left_sq;
-      const double sse = (left_sq - left_sum * left_sum / nl) +
-                         (right_sq - right_sum * right_sum / nr);
-      const double gain = parent_sse - sse;
-      if (gain > best.gain) {
-        best.feature = f;
-        best.threshold = 0.5 * (vals[i].first + vals[i + 1].first);
-        best.gain = gain;
+    std::size_t nl = 0, prev = 0;
+    for (std::size_t c = 0; c < values.size(); ++c) {
+      if (b.ends[c] == nl) continue;  // no row has this value here
+      if (nl > 0 && nl >= params_.min_samples_leaf &&
+          n - nl >= params_.min_samples_leaf) {
+        const auto left_n = static_cast<double>(nl);
+        const auto right_n = static_cast<double>(n - nl);
+        const double right_sum = parent_sum - left_sum;
+        const double right_sq = parent_sq - left_sq;
+        const double sse = (left_sq - left_sum * left_sum / left_n) +
+                           (right_sq - right_sum * right_sum / right_n);
+        const double gain = parent_sse - sse;
+        if (gain > best.gain) {
+          best.feature = f;
+          best.threshold = 0.5 * (values[prev] + values[c]);
+          best.gain = gain;
+        }
       }
+      for (; nl < b.ends[c]; ++nl) {
+        const double y = b.grouped[nl];
+        left_sum += y;
+        left_sq += y * y;
+      }
+      prev = c;
     }
   }
   if (best.gain < 0.0) return std::nullopt;

@@ -10,6 +10,17 @@
 // one walk over that layout: the single tree runs it with one lane, the
 // random forest (which concatenates its trees' arrays into one) with a
 // lane per tree or per row.
+//
+// The split search is exact and linear-time. A CodedDataset codes the
+// training set once: each column's distinct values, each row's value
+// code, and the rows in target order. A node keeps its rows in bag order
+// (its leaf mean and parent sums add in that order) and in target order;
+// one stable counting pass by value code over the target-ordered rows
+// yields exactly the (value, target) sequence a sort would, so prefix
+// sums, gains, ties and thresholds are those of the sort-based search.
+// A sampled feature costs O(rows at the node + the column's distinct
+// values). A NaN training feature is rejected: it has no place in an
+// ordering.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +83,38 @@ void walk_to_leaves(const TreeNode* nodes, std::span<std::size_t> at,
   }
 }
 
+/// A training set coded for the split search, once per fit; a forest
+/// shares one, read-only, across the trees it fits. Throws
+/// portatune::Error on an empty dataset or a NaN feature.
+class CodedDataset {
+ public:
+  explicit CodedDataset(const Dataset& data);
+
+  std::size_t num_rows() const noexcept { return targets_.size(); }
+  std::size_t num_features() const noexcept { return offsets_.size() - 1; }
+  double target(std::size_t r) const noexcept { return targets_[r]; }
+  /// Column f's distinct values, ascending.
+  std::span<const double> values(std::size_t f) const noexcept {
+    return std::span(values_).subspan(offsets_[f],
+                                      offsets_[f + 1] - offsets_[f]);
+  }
+  /// Per row, the index of its column-f value in values(f).
+  std::span<const std::uint32_t> codes(std::size_t f) const noexcept {
+    return std::span(codes_).subspan(f * num_rows(), num_rows());
+  }
+  /// Every row, ascending by target.
+  std::span<const std::uint32_t> by_target() const noexcept {
+    return by_target_;
+  }
+
+ private:
+  std::vector<double> targets_;
+  std::vector<double> values_;        ///< every column's, one after another
+  std::vector<std::size_t> offsets_;  ///< column f: values_[offsets_[f]..]
+  std::vector<std::uint32_t> codes_;  ///< column-major
+  std::vector<std::uint32_t> by_target_;
+};
+
 struct TreeParams {
   /// Maximum tree depth (root has depth 0); 0 means unlimited.
   std::size_t max_depth = 0;
@@ -92,7 +135,11 @@ class RegressionTree final : public Regressor {
  public:
   explicit RegressionTree(TreeParams params = {}) : params_(params) {}
 
+  /// Codes `train` and fits on every row once.
   void fit(const Dataset& train) override;
+  /// Fit on the rows of `train` listed in `bag` (repeats allowed: a
+  /// bootstrap bag), in that order.
+  void fit(const CodedDataset& train, std::span<const std::size_t> bag);
   double predict(std::span<const double> x) const override;
   bool is_fitted() const noexcept override { return !nodes_.empty(); }
   std::string name() const override { return "regression_tree"; }
@@ -116,12 +163,12 @@ class RegressionTree final : public Regressor {
     double threshold = 0.0;
     double gain = -1.0;
   };
+  struct Builder;
 
-  std::size_t build(const Dataset& data, std::vector<std::size_t>& rows,
-                    std::size_t depth, Rng& rng);
-  std::optional<Split> best_split(const Dataset& data,
-                                  std::span<const std::size_t> rows,
-                                  Rng& rng) const;
+  std::size_t build(Builder& b, std::size_t lo, std::size_t hi,
+                    std::size_t depth);
+  std::optional<Split> best_split(Builder& b, std::size_t lo,
+                                  std::size_t hi) const;
   void render(std::size_t node, std::size_t depth,
               const std::vector<std::string>& names, std::string& out) const;
 

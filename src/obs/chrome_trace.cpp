@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <vector>
@@ -152,18 +153,18 @@ Event parse_event_line(const std::string& line, std::size_t lineno) {
   try {
     Event e;
     e.mono_seconds = doc.at("ts").as_number();
-    e.wall_micros = static_cast<std::int64_t>(doc.at("wall_us").as_number());
+    const std::uint64_t wall_us = json::size_member(doc, "wall_us");
+    PT_REQUIRE(wall_us <= std::numeric_limits<std::int64_t>::max(),
+               "'wall_us' must be at most 2^63 - 1");
+    e.wall_micros = static_cast<std::int64_t>(wall_us);
     e.severity = severity_from_string(doc.at("level").as_string());
     e.name = doc.at("name").as_string();
     e.category = doc.at("cat").as_string();
     if (const auto* dur = doc.find("dur_s"))
       e.duration_seconds = dur->as_number();
-    if (const auto* tid = doc.find("tid"))
-      e.thread_id = static_cast<std::uint64_t>(tid->as_number());
-    if (const auto* span = doc.find("span"))
-      e.span_id = static_cast<std::uint64_t>(span->as_number());
-    if (const auto* parent = doc.find("parent"))
-      e.parent_span_id = static_cast<std::uint64_t>(parent->as_number());
+    e.thread_id = json::size_member(doc, "tid", 0);
+    e.span_id = json::size_member(doc, "span", 0);
+    e.parent_span_id = json::size_member(doc, "parent", 0);
     for (const auto& [key, value] : doc.as_object()) {
       if (key == "ts" || key == "wall_us" || key == "level" ||
           key == "name" || key == "cat" || key == "dur_s" || key == "tid" ||

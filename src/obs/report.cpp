@@ -57,6 +57,17 @@ void pad_left(std::ostream& os, const std::string& s, std::size_t width) {
   os << s;
 }
 
+/// json::size_member(obj, key) of a value read from `file`, which a
+/// failure names.
+std::uint64_t count_in(const std::string& file, const json::Value& obj,
+                       std::string_view key) {
+  try {
+    return json::size_member(obj, key);
+  } catch (const Error& e) {
+    throw Error(file + ": " + e.what());
+  }
+}
+
 }  // namespace
 
 Report analyze_events(std::span<const Event> events) {
@@ -488,8 +499,7 @@ void write_metrics_summary(std::ostream& os, const std::string& path) {
     for (const auto& [name, value] : counters->as_object()) {
       os << "  ";
       pad_to(os, name, w);
-      os << "  counter    "
-         << static_cast<std::uint64_t>(value.as_number()) << "\n";
+      os << "  counter    " << count_in(path, *counters, name) << "\n";
     }
   if (const json::Value* gauges = doc.find("gauges"))
     for (const auto& [name, value] : gauges->as_object()) {
@@ -501,8 +511,7 @@ void write_metrics_summary(std::ostream& os, const std::string& path) {
     for (const auto& [name, value] : histograms->as_object()) {
       os << "  ";
       pad_to(os, name, w);
-      os << "  histogram  count="
-         << static_cast<std::uint64_t>(value.at("count").as_number())
+      os << "  histogram  count=" << count_in(path, value, "count")
          << " mean=" << fmt_seconds(value.at("mean").as_number())
          << " min=" << fmt_seconds(value.at("min").as_number())
          << " max=" << fmt_seconds(value.at("max").as_number());
@@ -523,7 +532,7 @@ TimeseriesSummary analyze_timeseries(const std::string& path) {
   PT_REQUIRE(is.good(), "cannot open metrics time-series: " + path);
 
   TimeseriesSummary out;
-  std::vector<std::int64_t> pids;
+  std::vector<std::uint64_t> pids;
   double first_wall = 0.0, last_wall = 0.0;
   // name -> accumulated Series (running sum kept in `mean` until the end)
   std::map<std::string, TimeseriesSummary::Series> rates, gauges;
@@ -551,8 +560,8 @@ TimeseriesSummary analyze_timeseries(const std::string& path) {
       continue;
     }
     ++out.rows;
-    if (const json::Value* pid = row.find("pid")) {
-      const auto p = static_cast<std::int64_t>(pid->as_number());
+    if (row.find("pid") != nullptr) {
+      const std::uint64_t p = count_in(path, row, "pid");
       if (std::find(pids.begin(), pids.end(), p) == pids.end())
         pids.push_back(p);
     }

@@ -399,18 +399,20 @@ void ServiceProtocol::load_state() {
     PT_REQUIRE(state.is_object() &&
                    state.find("portatune_protocol_state") != nullptr,
                "not a protocol state file");
-    if (const Value* v = state.find("requests"); v != nullptr && v->is_number())
-      requests_ = static_cast<std::uint64_t>(v->as_number());
+    requests_ = size_member(state, "requests", requests_);
     // Counter continuity across the restart: the registry starts at
     // zero, so *add* the persisted totals back. A loadgen stats delta
-    // spanning the restart then sees one monotone sequence.
+    // spanning the restart then sees one monotone sequence. Every total
+    // is checked before any is added.
     if (opt_.telemetry) {
       if (const Value* counters = state.find("counters");
           counters != nullptr && counters->is_object()) {
-        auto& reg = obs::MetricsRegistry::current();
+        std::vector<std::pair<std::string, std::uint64_t>> totals;
         for (const auto& [name, v] : counters->as_object())
-          if (v.is_number() && v.as_number() > 0)
-            reg.counter(name).add(static_cast<std::uint64_t>(v.as_number()));
+          totals.emplace_back(name, size_member(*counters, name));
+        auto& reg = obs::MetricsRegistry::current();
+        for (const auto& [name, total] : totals)
+          if (total > 0) reg.counter(name).add(total);
       }
     }
     if (const Value* clients = state.find("clients");

@@ -85,8 +85,9 @@ RunLiveness render_run_status(std::ostream& os, const std::string& run_dir,
   }
   const bool all_done = done == peek.cells.size();
 
-  const std::optional<obs::json::Value> last = obs::read_last_timeseries_row(
-      run_dir + "/" + std::string(obs::kTimeseriesFile));
+  const std::string series = run_dir + "/" + std::string(obs::kTimeseriesFile);
+  const std::optional<obs::json::Value> last =
+      obs::read_last_timeseries_row(series);
   const obs::json::Value* row = last ? &*last : nullptr;
   const obs::json::Value* gauges = row ? row->find("gauges") : nullptr;
   const double heartbeat_age =
@@ -104,11 +105,17 @@ RunLiveness render_run_status(std::ostream& os, const std::string& run_dir,
      << " done, " << running << " running, " << pending << " pending\n";
   if (row) {
     os << "heartbeat: " << format_seconds(heartbeat_age) << " ago";
-    const obs::json::Value* pid = number(row, "pid");
     const obs::json::Value* uptime = number(row, "t_mono");
-    if (pid != nullptr && uptime != nullptr)
-      os << " (pid " << static_cast<std::int64_t>(pid->as_number())
-         << ", uptime " << format_seconds(uptime->as_number()) << ")";
+    if (number(row, "pid") != nullptr && uptime != nullptr) {
+      std::uint64_t pid = 0;
+      try {
+        pid = obs::json::size_member(*row, "pid");
+      } catch (const Error& e) {
+        throw Error(series + ": " + e.what());
+      }
+      os << " (pid " << pid << ", uptime "
+         << format_seconds(uptime->as_number()) << ")";
+    }
     os << "\n";
   } else {
     os << "heartbeat: none found (" << obs::kTimeseriesFile

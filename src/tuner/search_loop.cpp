@@ -8,6 +8,7 @@
 #include "obs/scoped_timer.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
+#include "support/thread_pool.hpp"
 
 namespace portatune::tuner {
 
@@ -71,18 +72,17 @@ void next_span(std::optional<obs::ScopedTimer>& span, bool traced,
                  nullptr, obs::Severity::Debug);
 }
 
-/// Bound on the encoded rows rank() holds at once. Every paper space but
-/// the raytracer's 247 flags fits a 10 000-row pool in one matrix; that
-/// one is encoded and predicted in chunks, so a rank never holds
-/// N x 247 doubles (20 MB) on top of the pool.
-constexpr std::size_t kMaxMatrixBytes = std::size_t{2} << 20;
+/// Rows rank() encodes and predicts at a time: a raytracer block (247
+/// flags) is 247 KiB of features, the most a running task holds, so no
+/// pool-sized matrix exists.
+constexpr std::size_t kBlockRows = 128;
 
 /// Rank `pool` by `model`, ascending; nullptr restores draw order and
-/// keeps the current predictions. The pool is encoded into a row-major
-/// matrix that lives only for the batched predict_rows() call it feeds:
-/// one call, or one per kMaxMatrixBytes chunk of a wide space.
-/// Prediction i depends only on configs[i], so the ranking is the same at
-/// any thread count.
+/// keeps the current predictions. One parallel_for over row blocks: each
+/// task encodes its block into its own buffer and predicts it through
+/// predict_rows(), writing its own slice of `predicted` (a pool of one
+/// block runs inline). Prediction i depends only on configs[i], so the
+/// ranking is the same at any thread count.
 void rank(RankedPool& pool, const ml::Regressor* model,
           const ParamSpace& space, bool traced) {
   if (model == nullptr) {
@@ -92,26 +92,22 @@ void rank(RankedPool& pool, const ml::Regressor* model,
   }
   const std::size_t n = pool.configs.size();
   const std::size_t cols = space.num_params();
-  const std::size_t chunk = std::clamp<std::size_t>(
-      kMaxMatrixBytes / (std::max<std::size_t>(1, cols) * sizeof(double)), 1,
-      n);
   pool.predicted.resize(n);
   std::optional<obs::ScopedTimer> span;
-  {
-    std::vector<double> rows(chunk * cols);
-    ParamConfig config;
-    for (std::size_t lo = 0; lo < n; lo += chunk) {
-      const std::size_t m = std::min(chunk, n - lo);
-      next_span(span, traced, "pool.encode", m);
-      for (std::size_t i = 0; i < m; ++i) {
-        pool.configs.get(lo + i, config);
-        space.encode(config, std::span(rows).subspan(i * cols, cols));
-      }
-      next_span(span, traced, "pool.predict", m);
-      model->predict_rows(std::span(rows).first(m * cols), cols,
-                          std::span(pool.predicted).subspan(lo, m));
-    }
-  }
+  next_span(span, traced, "pool.predict", n);
+  ThreadPool::global().parallel_for(
+      0, (n + kBlockRows - 1) / kBlockRows, [&](std::size_t b) {
+        const std::size_t lo = b * kBlockRows;
+        const std::size_t m = std::min(kBlockRows, n - lo);
+        std::vector<double> rows(m * cols);
+        ParamConfig config;
+        for (std::size_t i = 0; i < m; ++i) {
+          pool.configs.get(lo + i, config);
+          space.encode(config, std::span(rows).subspan(i * cols, cols));
+        }
+        model->predict_rows(rows, cols,
+                            std::span(pool.predicted).subspan(lo, m));
+      });
   next_span(span, traced, "pool.argsort", n);
   pool.order = argsort(pool.predicted);
 }

@@ -133,11 +133,12 @@ struct RankedPool {
 
 /// Draw up to `size` configurations from ConfigStream(space, seed) and
 /// rank them by `model`'s prediction, ascending (nullptr: draw order, no
-/// predictions). The pool is encoded once and predicted by one
-/// Regressor::predict_rows() call (one per 2 MiB of encoded rows for
-/// spaces too wide for that). At Debug level it emits the child spans
-/// pool.sample, pool.encode, pool.predict and pool.argsort. Throws on an
-/// empty pool.
+/// predictions). Prediction fans out once, one global-pool task per
+/// 128-row block; each task encodes its block into its own small buffer
+/// and predicts it with Regressor::predict_rows(), so no pool-sized
+/// feature matrix is built. At Debug level it emits three child spans:
+/// pool.sample, pool.predict (encoding included) and pool.argsort.
+/// Throws on an empty pool.
 RankedPool rank_pool(const ml::Regressor* model, const ParamSpace& space,
                      std::uint64_t seed, std::size_t size);
 

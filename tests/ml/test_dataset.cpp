@@ -44,36 +44,6 @@ TEST(Dataset, FirstRowFixesArity) {
   EXPECT_THROW(d.add_row(std::vector<double>{1}, 0), Error);
 }
 
-TEST(Dataset, BootstrapPreservesShape) {
-  const auto d = small();
-  Rng rng(1);
-  const auto b = d.bootstrap(rng);
-  EXPECT_EQ(b.num_rows(), d.num_rows());
-  EXPECT_EQ(b.num_features(), d.num_features());
-  // Every bootstrap target must be one of the original targets.
-  for (std::size_t i = 0; i < b.num_rows(); ++i) {
-    const double t = b.target(i);
-    EXPECT_TRUE(t == 10 || t == 20 || t == 30);
-  }
-}
-
-TEST(Dataset, SplitPartitionsRows) {
-  Dataset d(1);
-  for (int i = 0; i < 100; ++i)
-    d.add_row(std::vector<double>{static_cast<double>(i)}, i);
-  Rng rng(2);
-  const auto [train, test] = d.split(0.25, rng);
-  EXPECT_EQ(test.num_rows(), 25u);
-  EXPECT_EQ(train.num_rows(), 75u);
-  // No row lost and no duplication: targets 0..99 appear exactly once.
-  std::vector<int> seen(100, 0);
-  for (std::size_t i = 0; i < train.num_rows(); ++i)
-    seen[static_cast<int>(train.target(i))]++;
-  for (std::size_t i = 0; i < test.num_rows(); ++i)
-    seen[static_cast<int>(test.target(i))]++;
-  for (int c : seen) EXPECT_EQ(c, 1);
-}
-
 TEST(Dataset, SubsetSelectsRows) {
   const auto d = small();
   const std::vector<std::size_t> rows{2, 0};

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/sink.hpp"
 #include "support/error.hpp"
@@ -186,6 +189,37 @@ TEST(ChromeTrace, LenientReadOnCleanLogCountsNothing) {
   EXPECT_EQ(stats.lines, 1u);
   EXPECT_EQ(stats.skipped, 0u);
   EXPECT_TRUE(stats.first_error.empty());
+}
+
+TEST(ChromeTrace, OutOfRangeNumbersAreMalformedLines) {
+  // Ids, thread ids and wall-clock microseconds are non-negative integers
+  // that fit their fields; anything else is a malformed line, never an
+  // out-of-range cast.
+  const std::string good =
+      R"({"ts":1.0,"wall_us":5,"level":"info","name":"a","cat":"c",)"
+      R"("tid":2,"span":3,"parent":1})";
+  std::string text = good + "\n";
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"span\":3", "\"span\":-1"},
+           {"\"tid\":2", "\"tid\":1e300"},
+           {"\"parent\":1", "\"parent\":1.5"},
+           {"\"wall_us\":5", "\"wall_us\":-5"},
+           {"\"wall_us\":5", "\"wall_us\":1e19"}}) {  // above 2^63 - 1
+    std::string line = good;
+    line.replace(line.find(from), from.size(), to);
+    text += line + "\n";
+  }
+  std::istringstream lenient(text);
+  LogReadStats stats;
+  const auto events = read_event_log(lenient, &stats);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].span_id, 3u);
+  EXPECT_EQ(stats.skipped, 5u);
+  EXPECT_NE(stats.first_error.find("line 2"), std::string::npos)
+      << stats.first_error;
+  std::istringstream strict(text);
+  EXPECT_THROW(read_event_log(strict), Error);
 }
 
 namespace {

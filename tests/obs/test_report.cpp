@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "obs/event.hpp"
+#include "support/error.hpp"
 
 namespace portatune::obs {
 namespace {
@@ -226,6 +227,49 @@ TEST(Comparison, ReadsGoogleBenchmarkJson) {
   EXPECT_EQ(c.regressions, 1u);
   std::remove(base_path.c_str());
   std::remove(cur_path.c_str());
+}
+
+/// Write `text` to a fresh file under the test's temp directory.
+std::string temp_file(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+TEST(MetricsSummary, OutOfRangeCountNamesTheFile) {
+  // Counts are non-negative integers: a forged one is an error naming
+  // the snapshot, never an out-of-range cast.
+  for (const std::string& doc :
+       {std::string(R"({"counters":{"a":-1}})"),
+        std::string(R"({"counters":{"a":1e300}})"),
+        std::string(R"({"histograms":{"h":{"count":-3,"mean":0,"min":0,)"
+                    R"("max":0}}})")}) {
+    const std::string path = temp_file("forged_metrics.json", doc);
+    std::ostringstream os;
+    try {
+      write_metrics_summary(os, path);
+      ADD_FAILURE() << doc << " was accepted: " << os.str();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TimeseriesSummary, OutOfRangePidNamesTheFile) {
+  const std::string path = temp_file(
+      "forged_timeseries.jsonl",
+      "{\"seq\":0,\"pid\":7,\"t_wall\":1.0}\n"
+      "{\"seq\":1,\"pid\":-7,\"t_wall\":2.0}\n");
+  try {
+    analyze_timeseries(path);
+    ADD_FAILURE() << "pid -7 was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -202,6 +202,40 @@ TEST_F(ProtocolRidTest, TornStateFileDegradesToEmptyCache) {
   EXPECT_EQ(proto().replay_cache_size(), 0u);
 }
 
+TEST_F(ProtocolRidTest, OutOfRangeStateNumbersDegradeToEmptyCache) {
+  // A forged count is not cast out of range: the restore fails the way a
+  // torn file's does, with an empty replay cache and a counted failure.
+  const std::string state_path =
+      testing::TempDir() + "portatune_rid_forged_" + pid_suffix() + ".json";
+  std::filesystem::remove(state_path);
+  ProtocolOptions opt;
+  opt.state_path = state_path;
+  proto(opt);
+  ASSERT_TRUE(call(open_line("s1", "cli:1")).at("ok").as_bool());
+  proto().persist_state();
+  const std::string good = read_file(state_path);
+  const auto restore = [&](const std::string& text) {
+    atomic_write_file(state_path, text);
+    proto_.reset();
+    proto(opt);
+    return proto().replay_cache_size();
+  };
+  const auto forge = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text : text.replace(at, from.size(), to);
+  };
+  EXPECT_EQ(restore(good), 1u);  // the open's reply
+  EXPECT_EQ(counter("server.state_restore_failures"), 0u);
+  EXPECT_EQ(restore(forge("\"requests\":1,", "\"requests\":-1,")), 0u);
+  EXPECT_EQ(counter("server.state_restore_failures"), 1u);
+  EXPECT_EQ(restore(forge("\"server.op.open.count\":1,",
+                          "\"server.op.open.count\":1e300,")),
+            0u);
+  EXPECT_EQ(counter("server.state_restore_failures"), 2u);
+}
+
 TEST_F(ProtocolRidTest, EvictedSessionAutoRestoresOnNextOp) {
   ASSERT_TRUE(call(open_line("lease1")).at("ok").as_bool());
   ASSERT_TRUE(

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/event.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -317,6 +318,28 @@ TEST(RenderRunStatus, ProgressComesFromThePhaseFilesAndTheLastRow) {
   EXPECT_NE(out.find("[001] pending b  0/6 phases  0 evals\n"),
             std::string::npos)
       << out;
+}
+
+TEST(RenderRunStatus, OutOfRangePidNamesTheTimeseries) {
+  // A pid is a non-negative integer: a forged one is an error naming the
+  // file, never an out-of-range cast.
+  const std::string dir = fresh_dir("rrs_forged_pid");
+  RunJournal journal = RunJournal::create(dir, {"a"});
+  journal.mark_running(0);
+  const std::string series = dir + "/" + std::string(obs::kTimeseriesFile);
+  for (const char* pid : {"-1", "1e300", "2.5"}) {
+    std::string row = ts_row(0, 7, obs::wall_unix_now());
+    row.replace(row.find("\"pid\":7"), 7, std::string("\"pid\":") + pid);
+    atomic_write_file(series, row + "\n");
+    std::ostringstream os;
+    try {
+      render_run_status(os, dir, 3600.0);
+      ADD_FAILURE() << "pid " << pid << " was accepted: " << os.str();
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(series), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
