@@ -79,11 +79,7 @@ void RandomForest::fit(const Dataset& train) {
   const auto fit_one = [&](std::size_t t) {
     trees[t].fit(coded, bootstrap_bag(seeds[t].bag, train.num_rows()));
   };
-  if (params_.parallel_fit && params_.num_trees > 1) {
-    ThreadPool::global().parallel_for(0, params_.num_trees, fit_one);
-  } else {
-    for (std::size_t t = 0; t < params_.num_trees; ++t) fit_one(t);
-  }
+  ThreadPool::global().parallel_for(0, params_.num_trees, fit_one);
 
   // One contiguous array: each tree's right-child indices shift by where
   // the tree starts; leaves keep right == 0.

@@ -2,8 +2,9 @@
 //
 // The paper's surrogate of choice: an ensemble of CART trees, each fit on a
 // bootstrap resample of T_a with per-split feature subsampling; the
-// prediction is the mean of the trees' predictions. Tree fitting is
-// parallelized over the support thread pool.
+// prediction is the mean of the trees' predictions. Trees fit in parallel
+// on the global thread pool, from any thread (its parallel_for is
+// nest-safe).
 //
 // fit() fits the trees and nothing else. It codes T_a once for the exact
 // linear-time split search (CodedDataset, tree.hpp: O(rows at a node +
@@ -34,8 +35,6 @@ struct ForestParams {
   std::size_t min_samples_leaf = 2;
   std::size_t min_samples_split = 5;
   std::uint64_t seed = 1;
-  /// Fit trees across the global thread pool.
-  bool parallel_fit = true;
 };
 
 class RandomForest final : public Regressor {

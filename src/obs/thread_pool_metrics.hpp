@@ -13,9 +13,11 @@
 //   pool.execute_seconds                          histogram per task
 //
 // All ThreadPools report to the one installed observer (the global pool,
-// ParallelEvaluator pools, the experiment pool, resilience watchdogs),
-// so the series aggregate process-wide; per-worker attribution comes
-// from the event log (span tids), not from metrics.
+// ParallelEvaluator pools, resilience attempt pools), so the series
+// aggregate process-wide; per-worker attribution comes from the event log
+// (span tids), not from metrics. A parallel_for helper withdrawn before it
+// started is reported by the loop's caller as a task that waited and then
+// finished at once, so submitted and completed still balance.
 #pragma once
 
 #include <atomic>

@@ -54,7 +54,6 @@ Value config_to_json(const apps::TuningConfig& cfg) {
   forest.emplace_back("min_samples_leaf", num(fp.min_samples_leaf));
   forest.emplace_back("min_samples_split", num(fp.min_samples_split));
   forest.emplace_back("seed", num(static_cast<double>(fp.seed)));
-  forest.emplace_back("parallel_fit", Value::make_bool(fp.parallel_fit));
 
   const tuner::FailureBudget& fb = cfg.failure_budget();
   Members budget;
@@ -145,7 +144,6 @@ apps::TuningConfig config_from_json(const Value& v) {
   fp.min_samples_leaf = size_at(forest, "min_samples_leaf");
   fp.min_samples_split = size_at(forest, "min_samples_split");
   fp.seed = size_at(forest, "seed");
-  fp.parallel_fit = forest.at("parallel_fit").as_bool();
 
   tuner::FailureBudget fb;
   const Value& budget = v.at("failure_budget");
@@ -242,9 +240,7 @@ tuner::SessionStepStats SessionHandle::step(std::size_t n) {
   std::lock_guard lock(mutex_);
   PT_REQUIRE(!closed_, "session '" + id_ + "' is closed");
   last_touched_ = obs::mono_now();
-  const tuner::SessionStepStats stats = session_->step(n);
-  publish_gauges_locked();
-  return stats;
+  return session_->step(n);
 }
 
 std::vector<tuner::ParamConfig> SessionHandle::suggest(std::size_t n) {
@@ -265,7 +261,6 @@ void SessionHandle::report(const tuner::ParamConfig& config, double seconds) {
   if (seconds > 0.0)
     service_->cache().insert(cached_->scope(),
                              space().config_hash(config), seconds);
-  publish_gauges_locked();
 }
 
 void SessionHandle::checkpoint() {
@@ -294,7 +289,6 @@ tuner::SearchTrace SessionHandle::close() {
   if (!trace.empty())
     service_->publish_trace(cfg_.problem(), cfg_.machine(), trace, space(),
                             fingerprint_);
-  publish_gauges_locked();
   return trace;
 }
 
@@ -346,14 +340,6 @@ void SessionHandle::persist_meta_locked() const {
 void SessionHandle::persist_checkpoint_locked() const {
   tuner::save_checkpoint_csv(dir_ + "/checkpoint.csv",
                              session_->checkpoint(), space());
-}
-
-void SessionHandle::publish_gauges_locked() const {
-  auto& reg = obs::MetricsRegistry::current();
-  const std::string prefix = "service.session." + id_;
-  reg.gauge(prefix + ".evals")
-      .set(static_cast<double>(session_->trace().size()));
-  reg.gauge(prefix + ".best_seconds").set(session_->trace().best_seconds());
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +426,6 @@ std::unique_ptr<SessionHandle> TuningService::build_session(
   h->resume_snapshot_.reset();  // replayed; the session owns state now
 
   h->persist_meta_locked();  // handle not yet visible: no lock needed
-  h->publish_gauges_locked();
   return h;
 }
 

@@ -50,7 +50,7 @@ struct TuningServiceOptions {
   ml::ForestParams forest{};
 };
 
-/// Point-in-time session summary (status command, gauges).
+/// Point-in-time session summary (status command).
 struct SessionInfo {
   std::string id;
   std::string problem;
@@ -105,7 +105,6 @@ class SessionHandle {
   SessionHandle() = default;
   void persist_meta_locked() const;
   void persist_checkpoint_locked() const;
-  void publish_gauges_locked() const;
 
   std::string id_;
   std::string dir_;

@@ -1,9 +1,13 @@
-// A small fixed-size thread pool with a parallel_for helper.
+// A small fixed-size thread pool with a nest-safe parallel_for.
 //
-// Used to parallelize embarrassingly parallel inner loops (random-forest
-// tree fitting, batch prediction, sweeps over configurations). All
+// Used to parallelize embarrassingly parallel loops (experiment cells,
+// random-forest tree fitting, pool ranking, evaluation windows). All
 // parallelism in portatune is explicit and goes through this pool, per the
-// HPC guideline of keeping thread creation out of hot paths.
+// HPC guideline of keeping thread creation out of hot paths. A process
+// runs its CPU work on ThreadPool::global(): experiment cells and the
+// fan-outs inside them share its workers, which parallel_for's contract
+// (below) makes deadlock-free at any nesting depth. Only ParallelEvaluator
+// and ResilientEvaluator build pools of their own, for reasons given there.
 //
 // Two observability seams, both dormant by default:
 //   * Span propagation — submit() captures the submitter's SpanContext
@@ -22,10 +26,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -37,8 +41,8 @@ namespace portatune {
 /// Telemetry callbacks for thread-pool activity. Implementations must be
 /// thread-safe and cheap (they run inline on submitters and workers).
 /// Install process-wide with set_thread_pool_observer; all pools (the
-/// global pool, parallel evaluators, the experiment pool, watchdogs)
-/// report to the same observer.
+/// global pool, parallel evaluators, resilience attempt pools) report to
+/// the same observer.
 class ThreadPoolObserver {
  public:
   virtual ~ThreadPoolObserver() = default;
@@ -87,52 +91,59 @@ class ThreadPool {
   /// caller that waited for all its tasks may uninstall the observer.
   template <typename F>
   std::future<void> submit(F&& f) {
-    std::promise<void> done;
-    std::future<void> fut = done.get_future();
-    const SpanContext ctx = current_span_context();
-    const CancellationToken cancel = current_cancellation_token();
-    ThreadPoolObserver* const observer = thread_pool_observer();
-    std::size_t depth;
-    {
-      std::lock_guard lock(mutex_);
-      queue_.push(QueuedTask{
-          [fn = std::forward<F>(f), ctx, cancel]() mutable {
-            SpanScope scope(ctx);
-            CancellationScope cancel_scope(cancel);
-            fn();
-          },
-          std::move(done),
-          observer != nullptr ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{}});
-      depth = queue_.size();
-    }
-    if (observer != nullptr) observer->on_submit(depth);
-    cv_.notify_one();
-    return fut;
+    return enqueue(std::function<void()>(std::forward<F>(f)), nullptr);
   }
 
-  /// Run body(i) for i in [begin, end) across the pool, blocking until all
-  /// iterations complete. Exceptions from the body are rethrown (first one).
+  /// Run body(i) for every i in [begin, end), blocking until the loop is
+  /// done. Safe from any thread, including a worker of this pool at any
+  /// nesting depth. The contract:
+  ///
+  ///  1. The caller runs chunks of its own loop. It queues at most
+  ///     `max_threads - 1` helper tasks, claims chunks until none is left,
+  ///     then withdraws the helpers that have not started. It waits only
+  ///     for chunks another thread has already claimed, never for a queued
+  ///     task, so nested loops cannot deadlock even when every worker is
+  ///     busy (the caller then runs the whole loop itself).
+  ///  2. Once it returns, no pool thread touches the loop's state or calls
+  ///     the installed ThreadPoolObserver on the loop's behalf, so the
+  ///     caller may uninstall and destroy the observer. The caller reports
+  ///     each withdrawn helper itself (on_start, then on_finish with zero
+  ///     execute time): every on_submit still gets both.
+  ///  3. `max_threads` caps the participants, the caller included; 0 means
+  ///     the caller plus every worker. Indices are claimed in chunks of
+  ///     n / min(n, 4 * w), w = `max_threads` (0: size()).
+  ///  4. The first exception a chunk throws is rethrown; a participant whose
+  ///     chunk threw claims no more. Helpers run under the caller's
+  ///     SpanContext and ambient CancellationToken, as submit() tasks do.
+  ///     With no observer installed the loop reads no clock.
   void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body);
+                    const std::function<void(std::size_t)>& body,
+                    std::size_t max_threads = 0);
 
   /// Process-wide shared pool (lazily constructed).
   static ThreadPool& global();
 
  private:
-  /// One queued task plus its enqueue timestamp (default-constructed —
-  /// "unknown" — when no observer was installed at submit time, so the
-  /// dormant path never reads the clock).
+  /// One queued task with what it runs under. `enqueued` is
+  /// default-constructed ("unknown") when no observer was installed at
+  /// submit time, so the dormant path never reads the clock.
   struct QueuedTask {
     std::function<void()> fn;
     std::promise<void> done;  ///< completes the future
     std::chrono::steady_clock::time_point enqueued{};
+    SpanContext span;
+    CancellationToken cancel;
+    const void* owner = nullptr;  ///< the parallel_for a helper serves
   };
 
+  std::future<void> enqueue(std::function<void()> fn, const void* owner);
+  /// Drop `owner`'s queued helpers, reporting each to the observer as a
+  /// task that started and finished at once.
+  void withdraw(const void* owner);
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::queue<QueuedTask> queue_;
+  std::deque<QueuedTask> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;

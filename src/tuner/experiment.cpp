@@ -1,8 +1,6 @@
 #include "tuner/experiment.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <thread>
 
 #include "obs/scoped_timer.hpp"
 #include "support/correlation.hpp"
@@ -217,18 +215,12 @@ std::vector<TransferExperimentResult> run_transfer_experiments(
     out[i] = run_transfer_experiment(*source, *target, job.settings);
   };
 
-  if (threads == 0)
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  threads = std::min(threads, jobs.size());
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) run_job(i);
-    return out;
-  }
-  // A dedicated pool, not ThreadPool::global(): experiment cells are
-  // long-running and would otherwise starve the fine-grained prediction
-  // fan-outs the searches themselves put on the global pool.
-  ThreadPool pool(threads);
-  pool.parallel_for(0, jobs.size(), run_job);
+  // Cells share the global pool with the fan-outs inside them:
+  // parallel_for's caller runs its own loop, so a cell that fits or ranks
+  // on a busy pool does the work itself instead of waiting.
+  ThreadPool& pool = ThreadPool::global();
+  pool.parallel_for(0, jobs.size(), run_job,
+                    threads != 0 ? threads : pool.size());
   return out;
 }
 

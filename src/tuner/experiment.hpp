@@ -134,9 +134,12 @@ struct ExperimentJob {
   std::string label;  ///< diagnostic tag, e.g. "MM idataplex->e5"
 };
 
-/// Run every job, fanning independent cells over `threads` workers
-/// (0 = hardware concurrency). Results come back in job order regardless
-/// of completion order; each result is bit-identical to what a serial
+/// Run every job, fanning independent cells out on ThreadPool::global():
+/// at most `threads` cells run at once, the calling thread included
+/// (0 = the pool's width). Values above the pool width + 1 add no
+/// concurrency; latency-bound evaluations overlap through each stack's
+/// `eval_threads` instead. Results come back in job order regardless of
+/// completion order; each result is bit-identical to what a serial
 /// run_transfer_experiment of the same job would produce (searches are
 /// seed-deterministic and jobs share no mutable search state).
 /// `threads == 1` runs the jobs inline on the calling thread.

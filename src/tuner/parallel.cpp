@@ -66,13 +66,17 @@ std::vector<EvalResult> ParallelEvaluator::evaluate_batch(
   // prefix — exactly what the serial path would have produced had it
   // been cancelled at that draw.
   std::vector<char> ran(batch.size(), 1);
-  pool_->parallel_for(0, batch.size(), [&](std::size_t i) {
-    if (opt_.cancel.cancelled()) {
-      ran[i] = 0;
-      return;
-    }
-    out[i] = run_one(batch[i]);
-  });
+  // At most pool-width evaluations at once, the calling thread included.
+  pool_->parallel_for(
+      0, batch.size(),
+      [&](std::size_t i) {
+        if (opt_.cancel.cancelled()) {
+          ran[i] = 0;
+          return;
+        }
+        out[i] = run_one(batch[i]);
+      },
+      pool_->size());
   std::size_t keep = batch.size();
   for (std::size_t i = 0; i < batch.size(); ++i)
     if (!ran[i]) {

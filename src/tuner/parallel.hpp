@@ -88,7 +88,9 @@ class ParallelEvaluator final : public Evaluator {
  private:
   Evaluator& inner_;
   ParallelOptions opt_;
-  /// Present only when fanning out is both requested and safe.
+  /// Present only when fanning out is both requested and safe. Its own
+  /// pool, not the global one: the width is evaluation concurrency, which
+  /// latency-bound evaluations need beyond the core count.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -46,8 +46,10 @@ ResilientEvaluator::ResilientEvaluator(Evaluator& inner, RetryPolicy policy)
   PT_REQUIRE(policy_.backoff_multiplier >= 1.0,
              "backoff multiplier must be >= 1");
   if (policy_.timeout_seconds > 0.0) {
-    // A few workers so one hung attempt does not stall the next
-    // evaluation behind it in the queue.
+    // A pool of its own, not the global one: the deadline must return
+    // while an attempt that ignores cancellation keeps sleeping, which
+    // needs the thread hop. A few workers so one hung attempt does not
+    // stall the next evaluation behind it in the queue.
     watchdog_ = std::make_unique<ThreadPool>(4);
   }
 }

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
-#include <thread>
 
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
@@ -375,19 +374,11 @@ std::vector<TransferExperimentResult> run_transfer_experiments_journaled(
     completed.fetch_add(1, std::memory_order_relaxed);
   };
 
-  std::size_t threads = opt.threads;
-  if (threads == 0)
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  threads = std::min(threads, jobs.size());
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) run_job(i);
-  } else {
-    // Dedicated pool for the same reason as run_transfer_experiments:
-    // cells are long-running and would starve the global pool's
-    // fine-grained fan-outs.
-    ThreadPool pool(threads);
-    pool.parallel_for(0, jobs.size(), run_job);
-  }
+  // The same one-call fan-out on the global pool as
+  // run_transfer_experiments.
+  ThreadPool& pool = ThreadPool::global();
+  pool.parallel_for(0, jobs.size(), run_job,
+                    opt.threads != 0 ? opt.threads : pool.size());
 
   if (summary != nullptr) {
     summary->cells_total = jobs.size();

@@ -154,8 +154,9 @@ struct JournaledRunOptions {
   /// False: the run directory must be fresh. True: reopen and skip /
   /// restore what the journal already holds.
   bool resume = false;
-  /// Worker threads for the cell fan-out (0 = hardware concurrency,
-  /// 1 = inline), as in run_transfer_experiments.
+  /// Cells run at once on the global pool, the calling thread included
+  /// (0 = the pool's width, 1 = inline), as in run_transfer_experiments:
+  /// values above the pool width + 1 add no concurrency.
   std::size_t threads = 0;
   /// Periodic checkpoint cadence of each cell's source RS phase.
   std::size_t rs_checkpoint_every = 5;

@@ -3,7 +3,9 @@
 # evaluation window — and compares the T_a files (checkpoint CSVs: the
 # trace plus its draw watermark, clock, stats and quarantine) after
 # stripping the wall-clock column (the one field that legitimately
-# differs between runs). The gtest suites prove the library-level parity;
+# differs between runs). Then runs a three-cell journaled experiment with
+# one cell at a time and with four, and compares every cell's six phase
+# files the same way. The gtest suites prove the library-level parity;
 # this checks the CLI wiring end to end.
 #
 # Inputs: -DCLI=<portatune_cli path> -DWORK_DIR=<scratch directory>
@@ -62,3 +64,45 @@ list(LENGTH rows n_rows)
 if(n_rows LESS 10)
   message(FATAL_ERROR "trace suspiciously small: ${n_rows} lines")
 endif()
+
+# The journaled experiment: cells fan out on the global pool, where each
+# cell's fits and ranks nest inside the cell loop.
+set(PAIRS "Westmere:Sandybridge,Westmere:Power7,Sandybridge:Power7")
+foreach(threads 1 4)
+  set(run_dir "${WORK_DIR}/journal-${threads}")
+  file(REMOVE_RECURSE "${run_dir}")
+  execute_process(
+    COMMAND "${CLI}" experiment --problem LU --pairs "${PAIRS}" --nmax 20
+      --threads "${threads}" --run-dir "${run_dir}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+      "portatune_cli experiment --threads ${threads} exited with ${rc}:\n"
+      "${out}\n${err}")
+  endif()
+endforeach()
+
+file(GLOB_RECURSE serial_phases RELATIVE "${WORK_DIR}/journal-1"
+  "${WORK_DIR}/journal-1/cell-*/*.csv")
+file(GLOB_RECURSE parallel_phases RELATIVE "${WORK_DIR}/journal-4"
+  "${WORK_DIR}/journal-4/cell-*/*.csv")
+list(SORT serial_phases)
+list(SORT parallel_phases)
+list(LENGTH serial_phases n_phases)
+if(NOT n_phases EQUAL 18 OR NOT serial_phases STREQUAL parallel_phases)
+  message(FATAL_ERROR
+    "expected the same 18 phase files (3 cells x 6 phases) from both "
+    "experiment runs:\n--threads 1: ${serial_phases}\n"
+    "--threads 4: ${parallel_phases}")
+endif()
+foreach(phase IN LISTS serial_phases)
+  canonicalize("${WORK_DIR}/journal-1/${phase}" serial_body)
+  canonicalize("${WORK_DIR}/journal-4/${phase}" parallel_body)
+  if(NOT serial_body STREQUAL parallel_body)
+    message(FATAL_ERROR
+      "experiment --threads 4 wrote a different ${phase} than --threads 1:\n"
+      "=== serial ===\n${serial_body}\n=== parallel ===\n${parallel_body}")
+  endif()
+endforeach()

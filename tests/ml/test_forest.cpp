@@ -7,6 +7,7 @@
 #include "ml/metrics.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace portatune::ml {
 namespace {
@@ -54,22 +55,25 @@ TEST(RandomForest, DeterministicForSeed) {
   }
 }
 
-TEST(RandomForest, SerialAndParallelFitAgree) {
+TEST(RandomForest, FitInsideBusyPoolAgreesWithMainThreadFit) {
+  // A fit fans its trees out on the global pool from any thread: here
+  // from inside a parallel_for that keeps every global worker fitting.
   const auto d = friedman_like(150, 4);
   ForestParams p;
   p.num_trees = 8;
   p.seed = 5;
-  p.parallel_fit = false;
-  RandomForest serial(p);
-  serial.fit(d);
-  p.parallel_fit = true;
-  RandomForest parallel(p);
-  parallel.fit(d);
+  RandomForest reference(p);
+  reference.fit(d);
+  ThreadPool& pool = ThreadPool::global();
+  std::vector<RandomForest> nested(4 * (pool.size() + 1), RandomForest(p));
+  pool.parallel_for(0, nested.size(),
+                    [&](std::size_t i) { nested[i].fit(d); });
   Rng rng(6);
   for (int i = 0; i < 20; ++i) {
     std::vector<double> x{rng.uniform(), rng.uniform(), rng.uniform(),
                           rng.uniform()};
-    EXPECT_EQ(serial.predict(x), parallel.predict(x));
+    for (const RandomForest& f : nested)
+      EXPECT_EQ(reference.predict(x), f.predict(x));
   }
 }
 

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "support/atomic_file.hpp"
 #include "support/error.hpp"
 #include "tuner/persistence.hpp"
@@ -147,6 +148,16 @@ TEST(TuningServiceTest, CheckpointResumeContinuesExactly) {
     s.checkpoint();
     // The service dies here; its destructor checkpoints once more.
   }
+
+  // Sessions written before ForestParams lost `parallel_fit` carry it in
+  // meta.json; the reader ignores the key.
+  const std::string meta_path = opt.data_dir + "/sessions/job/meta.json";
+  std::string meta = read_file(meta_path);
+  const std::string forest = "\"forest\":{";
+  ASSERT_NE(meta.find(forest), std::string::npos);
+  ASSERT_EQ(meta.find("parallel_fit"), std::string::npos);
+  meta.insert(meta.find(forest) + forest.size(), "\"parallel_fit\":true,");
+  atomic_write_file(meta_path, meta);
 
   TuningService revived(opt);
   SessionHandle& s = revived.resume("job");
@@ -356,6 +367,23 @@ TEST(TuningServiceTest, WarmSessionReachesColdBestInFewerEvals) {
   ASSERT_LE(warm_needed, warm_trace.size()) << "warm session never reached "
                                                "the cold best";
   EXPECT_LT(warm_needed, cold_needed);
+}
+
+TEST(TuningServiceTest, SessionIdsMintNoMetricNames) {
+  // Clients choose session ids; none may become a registry name, or every
+  // id a long-lived daemon ever saw rides in each stats reply.
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRedirect redirect(registry);
+  TuningService service(service_opt("metric_names"));
+  const auto open_and_close = [&](const std::string& id) {
+    SessionHandle& s = service.open(id, lu_config("Westmere", 42, 10));
+    s.step(10);
+    s.close();
+  };
+  open_and_close("first");
+  const std::size_t gauges = registry.snapshot().gauges.size();
+  for (int i = 0; i < 50; ++i) open_and_close("s" + std::to_string(i));
+  EXPECT_EQ(registry.snapshot().gauges.size(), gauges);
 }
 
 TEST(TuningServiceTest, CheckpointAllSnapshotsEveryOpenSession) {
