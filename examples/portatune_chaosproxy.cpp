@@ -7,10 +7,12 @@
 // run is replayable.
 //
 //   portatune_cli serve --socket /tmp/pt.sock --data-dir svc &
-//   portatune_chaosproxy --listen /tmp/pt.chaos --upstream /tmp/pt.sock \
-//       --seed 42 --tear-rate 0.08 --hangup-rate 0.05 \
+//   portatune_chaosproxy --listen /tmp/pt.chaos --upstream /tmp/pt.sock
+//       --seed 42 --tear-rate 0.08 --hangup-rate 0.05
 //       --blackhole-rate 0.03 --delay-rate 0.1 --delay-seconds 0.02 &
 //   portatune_loadgen --socket /tmp/pt.chaos ...
+//
+// (three commands; the indented lines continue the one above them)
 //
 // Runs until SIGTERM/SIGINT, then prints the fault tally and exits 0.
 // (`portatune_loadgen --chaos` forks one of these in-process instead —

@@ -6,7 +6,8 @@
 //       run RS (n_max evals) and save the trace T_a (a checkpoint CSV,
 //       byte-identical to the final --checkpoint snapshot)
 //       resilience options: --faults <rate> injects transient failures,
-//       --retries N / --timeout S configure the resilient evaluator,
+//       --retries N / --timeout S configure the resilient evaluator
+//       (--timeout is its per-attempt deadline; no other command has one),
 //       --checkpoint ck.csv snapshots every --ckpt-every evals, and
 //       --resume ck.csv continues an interrupted collection exactly
 //   portatune_cli transfer --problem LU --source Westmere --target Sandybridge
@@ -69,7 +70,7 @@
 //   metrics_timeseries.jsonl  one metrics sample appended per period —
 //                             the heartbeat `status` reads
 //   flight_recorder.jsonl     ring of the last events at ALL severities,
-//                             dumped on SIGINT/SIGTERM, watchdog hangs,
+//                             dumped on SIGINT/SIGTERM, deadline hangs,
 //                             search aborts, PT_REQUIRE failures, and
 //                             every sampler tick (so even SIGKILL leaves
 //                             a black box at most one period old)
@@ -98,9 +99,10 @@
 // Fault shaping: --faults takes either a bare rate R (historic spelling:
 // transient failures at rate R) or a comma list of seeded channels, e.g.
 // --faults "transient:0.05,hang:0.02,hang-stall:30" (see
-// tuner::parse_fault_spec for every key). Injected hangs park on the
-// cooperative cancellation token and are rescued by the eval watchdog at
-// the --timeout deadline, classified Timeout. --slow S makes every
+// tuner::parse_fault_spec for every key). An injected hang parks on a
+// cooperative cancellation token and is classified Timeout: collect's
+// --timeout deadline ends it; elsewhere it stalls its hang-stall seconds
+// unless a shutdown request ends it first. --slow S makes every
 // evaluation sleep S seconds before returning its (unchanged) result — a
 // deterministic slow-motion mode the chaos CI step uses to reliably
 // SIGKILL a run mid-flight.
@@ -168,7 +170,7 @@ struct Args {
   std::string faults;     ///< fault spec (rate or key:value list)
   double slow = 0.0;      ///< per-evaluation sleep, seconds (0 = off)
   std::size_t retries = 2;
-  double timeout = 0.0;   ///< per-evaluation deadline, seconds
+  double timeout = 0.0;   ///< collect: per-attempt deadline, seconds
   std::size_t threads = 1;  ///< evaluation workers (0 = all hardware)
   std::uint64_t seed = 20160401;
   std::string log_json;     ///< JSONL event-log path ("" = off)
@@ -293,7 +295,7 @@ Args parse(int argc, char** argv) {
 ///     conventional sinks are re-filtered at the level the user asked
 ///     for — the hot path and the user-visible log are unchanged.
 ///   * a ScopedFlightRecorder arms the dump triggers (signals,
-///     PT_REQUIRE, watchdog/abort sites).
+///     PT_REQUIRE, hang/abort sites).
 ///   * a MetricsSampler appends the time-series, and its tick piggybacks
 ///     a periodic recorder dump so even SIGKILL leaves a black box.
 class ObsSession {
@@ -553,12 +555,10 @@ int cmd_collect(const Args& a) {
 int cmd_transfer(const Args& a) {
   // Per-evaluation telemetry, tagged by role: eval.source.* / eval.target.*
   // counters and one event per evaluation. Both stacks pick up --threads.
+  // They have no fault or resilient layer, so --faults, --retries and
+  // --timeout (collect's resilient deadline) do not apply here.
   apps::TuningConfig cfg = tuning_config_from(a);
-  cfg.eval_threads(a.threads)
-      .cancel(shutdown_token())
-      // No resilient layer here, so the parallel layer owns the watchdog
-      // deadline: a cooperatively hung evaluation is rescued at --timeout.
-      .eval_deadline_seconds(a.timeout);
+  cfg.eval_threads(a.threads).cancel(shutdown_token());
   const auto source = cfg.make_stack(apps::StackRole::Source);
   const auto target = cfg.make_stack(apps::StackRole::Target);
 

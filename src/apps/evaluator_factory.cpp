@@ -38,7 +38,6 @@ EvaluatorStack::EvaluatorStack(const EvaluatorStackOptions& opt)
     popt.threads = opt.eval_threads;
     popt.batch_width = opt.batch_width;
     popt.cancel = opt.cancel;
-    popt.eval_deadline_seconds = opt.eval_deadline_seconds;
     parallel_ = std::make_unique<tuner::ParallelEvaluator>(*top, popt);
     top = parallel_.get();
   }

@@ -52,10 +52,9 @@ struct EvaluatorStackOptions {
   /// (0 = hardware concurrency, exactly as ParallelOptions::threads).
   std::size_t eval_threads = 1;
   std::size_t batch_width = 0;  ///< 0 = ParallelEvaluator's default
-  /// Cooperative cancellation + per-evaluation watchdog deadline, wired
-  /// into the parallel layer (see ParallelOptions).
+  /// Cooperative cancellation, wired into the parallel layer (see
+  /// ParallelOptions).
   CancellationToken cancel{};
-  double eval_deadline_seconds = 0.0;
 };
 
 /// Owns a fully wired decorator stack and forwards the Evaluator interface

@@ -89,15 +89,13 @@ TuningConfig& TuningConfig::batch_width(std::size_t n) {
   batch_width_ = n;
   return *this;
 }
-TuningConfig& TuningConfig::eval_deadline_seconds(double s) {
-  eval_deadline_ = s;
-  return *this;
-}
 
 const TuningConfig& TuningConfig::validate() const {
   PT_REQUIRE(!problem_.empty(), "TuningConfig: problem must be named");
   PT_REQUIRE(!machine_.empty(), "TuningConfig: machine must be named");
-  PT_REQUIRE(max_evals_ > 0, "TuningConfig: max_evals must be positive");
+  PT_REQUIRE(max_evals_ > 0 && max_evals_ <= kMaxEvals,
+             "TuningConfig: max_evals must lie in 1.." +
+                 std::to_string(kMaxEvals));
   PT_REQUIRE(pool_size_ > 0 && pool_size_ <= kMaxPoolSize,
              "TuningConfig: pool_size must lie in 1.." +
                  std::to_string(kMaxPoolSize));
@@ -108,8 +106,9 @@ const TuningConfig& TuningConfig::validate() const {
              "TuningConfig: kernel_threads must be >= 1");
   PT_REQUIRE(retry_.max_attempts >= 1,
              "TuningConfig: retry.max_attempts must be >= 1");
-  PT_REQUIRE(eval_deadline_ >= 0.0,
-             "TuningConfig: eval_deadline_seconds must be >= 0");
+  PT_REQUIRE(eval_threads_ <= kMaxEvalThreads,
+             "TuningConfig: eval_threads must lie in 0.." +
+                 std::to_string(kMaxEvalThreads));
   PT_REQUIRE(failure_budget_.max_consecutive > 0 &&
                  failure_budget_.max_total > 0,
              "TuningConfig: failure budget bounds must be positive");
@@ -165,7 +164,6 @@ EvaluatorStackOptions TuningConfig::stack_options(StackRole role) const {
   so.eval_threads = eval_threads_;
   so.batch_width = batch_width_;
   so.cancel = cancel_;
-  so.eval_deadline_seconds = eval_deadline_;
   return so;
 }
 

@@ -39,6 +39,17 @@ class TuningConfig {
   /// configuration is held, encoded and predicted at once, so an
   /// unbounded size would let one request stall the process.
   static constexpr std::size_t kMaxPoolSize = 100000;
+  /// validate()'s bound on max_evals, for the same reason: a session
+  /// holds its whole trace, and one `suggest` may draw up to max_evals
+  /// configurations at once.
+  static constexpr std::size_t kMaxEvals = 100000;
+  /// validate()'s bound on eval_threads: each one is a thread of the
+  /// parallel layer's pool, all started when the stack is built, and a
+  /// thread that fails to start there terminates the process. 256 still
+  /// allows a stack as wide as the host (the benchmark's delayed cell
+  /// uses one thread per core) on machines with up to 256 hardware
+  /// threads.
+  static constexpr std::size_t kMaxEvalThreads = 256;
 
   // -- Backend ----------------------------------------------------------
   TuningConfig& problem(std::string name);
@@ -69,7 +80,6 @@ class TuningConfig {
   TuningConfig& retry(tuner::RetryPolicy policy);
   TuningConfig& eval_threads(std::size_t n);
   TuningConfig& batch_width(std::size_t n);
-  TuningConfig& eval_deadline_seconds(double s);
 
   // -- Introspection (CLI summaries, service status) --------------------
   const std::string& problem() const noexcept { return problem_; }
@@ -95,7 +105,6 @@ class TuningConfig {
   bool resilient() const noexcept { return resilient_; }
   const tuner::RetryPolicy& retry() const noexcept { return retry_; }
   std::size_t batch_width() const noexcept { return batch_width_; }
-  double eval_deadline_seconds() const noexcept { return eval_deadline_; }
 
   /// Check the cross-field invariants; throws portatune::Error with the
   /// offending field named. Every producer below calls this first.
@@ -134,7 +143,6 @@ class TuningConfig {
   tuner::RetryPolicy retry_{};
   std::size_t eval_threads_ = 1;
   std::size_t batch_width_ = 0;
-  double eval_deadline_ = 0.0;
 };
 
 }  // namespace portatune::apps

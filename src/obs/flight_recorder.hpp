@@ -10,7 +10,7 @@
 // exit ships the final moments of the run:
 //
 //   * SIGINT/SIGTERM            via a support shutdown hook
-//   * a watchdog-detected hang  (eval.hang_detected, tuner/watchdog.cpp)
+//   * a hung timed attempt      (eval.hang_detected, tuner/resilience.cpp)
 //   * a search abort            (search.abort, tuner/trace.cpp)
 //   * a failed PT_REQUIRE       via the support error hook
 //   * periodically              (the MetricsSampler tick), so even a

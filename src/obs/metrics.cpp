@@ -168,9 +168,9 @@ void MetricsRegistry::reset() {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  // Intentionally leaked, like EvalWatchdog::global(): detached threads
-  // (the watchdog monitor) may still add to a counter after static
-  // destructors run.
+  // Intentionally leaked, like the shutdown domain: a thread still running
+  // while the process exits may add to a counter after static destructors
+  // run.
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
 }

@@ -145,7 +145,7 @@ int serve_unix_socket(TuningService& svc, const std::string& socket_path,
   if (telemetry) wire = WireInstruments::bind();
   ServiceProtocol protocol(svc, opt.protocol);
   std::vector<Client> clients;
-  bool shutdown_requested = false;
+  bool shutdown_op_seen = false;
 
   double last_publish = -1e18;  // the first iteration publishes
   double last_lease = obs::mono_now();
@@ -168,7 +168,7 @@ int serve_unix_socket(TuningService& svc, const std::string& socket_path,
     if (telemetry) wire.clients_connected->set(0.0);
   };
 
-  while (!shutdown_requested) {
+  while (!shutdown_op_seen) {
     if (cancel.cancelled()) {
       emit_server_event("service.interrupted", socket_path);
       teardown();
@@ -314,7 +314,7 @@ int serve_unix_socket(TuningService& svc, const std::string& socket_path,
             }
             c.outbuf += reply.line;
             c.outbuf += '\n';
-            if (reply.shutdown) shutdown_requested = true;
+            if (reply.shutdown) shutdown_op_seen = true;
           }
           if (!c.closing && c.inbuf.size() > opt.max_line_bytes) {
             // A line that can no longer fit even before its newline
@@ -348,7 +348,7 @@ int serve_unix_socket(TuningService& svc, const std::string& socket_path,
     if (telemetry)
       wire.clients_connected->set(static_cast<double>(clients.size()));
 
-    if (shutdown_requested) {
+    if (shutdown_op_seen) {
       // Best-effort: drain the shutdown acknowledgement before closing.
       for (Client& c : clients)
         flush_client(c, telemetry ? wire.bytes_out : nullptr);

@@ -121,7 +121,6 @@ Value config_to_json(const apps::TuningConfig& cfg) {
   m.emplace_back("retry", Value::make_object(std::move(retry)));
   m.emplace_back("eval_threads", num(cfg.eval_threads()));
   m.emplace_back("batch_width", num(cfg.batch_width()));
-  m.emplace_back("eval_deadline_seconds", num(cfg.eval_deadline_seconds()));
   return Value::make_object(std::move(m));
 }
 
@@ -211,8 +210,7 @@ apps::TuningConfig config_from_json(const Value& v) {
       .resilient(v.at("resilient").as_bool())
       .retry(rp)
       .eval_threads(size_at(v, "eval_threads"))
-      .batch_width(size_at(v, "batch_width"))
-      .eval_deadline_seconds(v.at("eval_deadline_seconds").as_number());
+      .batch_width(size_at(v, "batch_width"));
   return cfg;
 }
 

@@ -6,15 +6,23 @@
 namespace portatune {
 
 bool CancellationToken::wait_for(double seconds) const {
-  const auto duration = std::chrono::duration<double>(seconds);
+  // Wake at the earlier of `seconds` from now and the deadline; comparing
+  // as durations first keeps a huge `seconds` from overflowing the clock.
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double> wait(seconds);
+  const Clock::time_point until =
+      wait < deadline_ - now
+          ? now + std::chrono::duration_cast<Clock::duration>(wait)
+          : deadline_;
   if (state_ == nullptr) {
-    if (seconds > 0.0) std::this_thread::sleep_for(duration);
-    return false;
+    std::this_thread::sleep_until(until);
+  } else {
+    std::unique_lock lock(state_->mutex);
+    state_->cv.wait_until(lock, until, [this] {
+      return state_->cancelled.load(std::memory_order_acquire);
+    });
   }
-  std::unique_lock lock(state_->mutex);
-  return state_->cv.wait_for(lock, duration, [this] {
-    return state_->cancelled.load(std::memory_order_acquire);
-  });
+  return cancelled();
 }
 
 void CancellationSource::request_cancel() noexcept {

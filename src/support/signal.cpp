@@ -51,11 +51,13 @@ void run_shutdown_hooks() noexcept {
 #ifndef _WIN32
 // Written by install (main thread), read by the async handler.
 std::atomic<int> g_signal_pipe_fd{-1};
-// How many shutdown signals arrived; sig_atomic_t per POSIX handler rules.
-volatile std::sig_atomic_t g_signals_seen = 0;
+// How many shutdown signals arrived. A lock-free atomic, which a signal
+// handler may use (C++17 [support.signal]).
+std::atomic<int> g_signals_seen{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
 extern "C" void shutdown_signal_handler(int signo) {
-  if (g_signals_seen++ > 0) {
+  if (g_signals_seen.fetch_add(1, std::memory_order_relaxed) > 0) {
     // Second signal: cooperative shutdown is taking too long (or is
     // itself stuck) — force-exit with the conventional signal status.
     _exit(128 + signo);
@@ -75,13 +77,11 @@ CancellationToken shutdown_token() noexcept {
   return shutdown_source().token();
 }
 
-bool shutdown_requested() noexcept {
-  return shutdown_source().cancel_requested();
-}
-
 void request_shutdown() noexcept {
-  shutdown_source().request_cancel();
+  // Hooks first: once the domain is cancelled, woken threads unwind and
+  // may destroy what a hook touches (the flight recorder).
   run_shutdown_hooks();
+  shutdown_source().request_cancel();
 }
 
 void add_shutdown_hook(ShutdownHook hook) noexcept {

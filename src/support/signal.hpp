@@ -22,17 +22,16 @@ namespace portatune {
 /// Token of the process-wide shutdown domain. Valid from the first call.
 CancellationToken shutdown_token() noexcept;
 
-/// True once shutdown was requested (signal or programmatic).
-bool shutdown_requested() noexcept;
-
 /// Programmatic shutdown (tests, embedders): cancels the shutdown domain
 /// exactly as the first SIGINT/SIGTERM would.
 void request_shutdown() noexcept;
 
 /// A function run (on the shutdown watcher thread, not in the signal
-/// handler) exactly once when shutdown is first requested — the seam the
-/// flight recorder uses to dump its ring before the cooperative unwind
-/// begins. Hooks must be fast and must not throw. Registering after
+/// handler) exactly once when shutdown is first requested, before the
+/// shutdown domain is cancelled — the seam the flight recorder uses to
+/// dump its ring before the cooperative unwind begins (and so before an
+/// unwinding thread can destroy the recorder). Hooks must be fast and
+/// must not throw. Registering after
 /// shutdown was already requested invokes the hook immediately. A plain
 /// function pointer on purpose: hooks reach their state through their own
 /// globals, and support stays free of ownership questions.

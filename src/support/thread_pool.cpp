@@ -48,7 +48,7 @@ std::future<void> ThreadPool::enqueue(std::function<void()> fn,
     queue_.push_back(QueuedTask{
         std::move(fn), std::move(done),
         observer != nullptr ? Clock::now() : Clock::time_point{},
-        current_span_context(), current_cancellation_token(), owner});
+        current_span_context(), owner});
     depth = queue_.size();
   }
   if (observer != nullptr) observer->on_submit(depth);
@@ -99,7 +99,6 @@ void ThreadPool::worker_loop() {
     std::exception_ptr error;
     try {
       SpanScope scope(task.span);
-      CancellationScope cancel_scope(task.cancel);
       task.fn();
     } catch (...) {
       error = std::current_exception();

@@ -14,8 +14,6 @@
 //     and re-installs it around the task on the worker, so profiling
 //     spans emitted worker-side still parent to the search window /
 //     experiment cell that scheduled them (two TLS words, no locks).
-//     The submitter's ambient CancellationToken rides along the same way,
-//     so a cancelled search window reaches the evaluations it fanned out.
 //   * Telemetry — an optional process-wide ThreadPoolObserver receives
 //     queue-depth / queue-wait / execute callbacks per task. With none
 //     installed the pool pays one relaxed atomic load per transition and
@@ -23,6 +21,7 @@
 //     implementation, publishing pool.* instruments).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -33,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/cancellation.hpp"
 #include "support/span_context.hpp"
 
 namespace portatune {
@@ -85,10 +83,10 @@ class ThreadPool {
   std::size_t size() const noexcept { return workers_.size(); }
 
   /// Enqueue a task; returns a future for its completion. The task runs
-  /// under the submitter's SpanContext and ambient CancellationToken, so
-  /// both causality and cancellation survive the thread hop. The future
-  /// becomes ready only after the observer has seen the task finish, so a
-  /// caller that waited for all its tasks may uninstall the observer.
+  /// under the submitter's SpanContext, so causality survives the thread
+  /// hop. The future becomes ready only after the observer has seen the
+  /// task finish, so a caller that waited for all its tasks may uninstall
+  /// the observer.
   template <typename F>
   std::future<void> submit(F&& f) {
     return enqueue(std::function<void()>(std::forward<F>(f)), nullptr);
@@ -114,8 +112,8 @@ class ThreadPool {
   ///     n / min(n, 4 * w), w = `max_threads` (0: size()).
   ///  4. The first exception a chunk throws is rethrown; a participant whose
   ///     chunk threw claims no more. Helpers run under the caller's
-  ///     SpanContext and ambient CancellationToken, as submit() tasks do.
-  ///     With no observer installed the loop reads no clock.
+  ///     SpanContext, as submit() tasks do. With no observer installed the
+  ///     loop reads no clock.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t max_threads = 0);
@@ -132,7 +130,6 @@ class ThreadPool {
     std::promise<void> done;  ///< completes the future
     std::chrono::steady_clock::time_point enqueued{};
     SpanContext span;
-    CancellationToken cancel;
     const void* owner = nullptr;  ///< the parallel_for a helper serves
   };
 

@@ -60,7 +60,7 @@ struct EvalResult {
   /// quarantined configuration was rejected without touching the backend).
   std::size_t attempts = 1;
   /// Search time spent on this call beyond the reported measurement:
-  /// failed attempts, retry backoff, and timed-out watchdog waits.
+  /// failed attempts, retry backoff, and waits that hit an attempt deadline.
   double overhead_seconds = 0.0;
 
   /// A successful measurement of `seconds`.

@@ -6,6 +6,7 @@
 #include "support/cancellation.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
+#include "support/signal.hpp"
 
 namespace portatune::tuner {
 
@@ -128,15 +129,17 @@ EvalResult FaultInjectingEvaluator::evaluate(const ParamConfig& config) {
   }
 
   // Hang channel: the attempt is stuck. Park on the ambient cancellation
-  // token — a deadline watchdog (or process shutdown) wakes it early,
-  // otherwise the full stall elapses — and return a Timeout failure
-  // either way. The *result* is a pure function of the fault schedule;
-  // only the wall-clock cost depends on who (if anyone) rescued it, so
-  // serial, parallel, and watchdog-rescued traces all record the same
+  // token (the attempt's deadline), or on the shutdown token when none is
+  // installed, so a stuck evaluation never blocks a graceful shutdown;
+  // otherwise the full stall elapses. Return a Timeout failure either
+  // way: the *result* is a pure function of the fault schedule, only the
+  // wall-clock cost depends on which wake (if any) ended it, so serial,
+  // parallel, deadline-woken and resumed traces all record the same
   // thing. The stall happens outside the lock so one hung attempt stalls
   // one thread, not the whole window.
   if (hang) {
-    const CancellationToken token = current_cancellation_token();
+    CancellationToken token = current_cancellation_token();
+    if (!token.valid()) token = shutdown_token();
     token.wait_for(profile_.hang_stall_seconds);
     return EvalResult::failure(
         "injected hang (attempt " + std::to_string(attempt) + ")",

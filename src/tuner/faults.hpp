@@ -27,13 +27,12 @@ namespace portatune::tuner {
 struct FaultProfile {
   double transient_rate = 0.0;      ///< per-attempt chance of transient failure
   double deterministic_rate = 0.0;  ///< per-config chance of permanent failure
-  /// Per-attempt chance of a *hang*: the attempt stalls (parked on the
-  /// ambient CancellationToken) until a watchdog/shutdown cancel wakes it
-  /// or hang_stall_seconds elapse, and then — either way — returns a
-  /// Timeout-classified failure without ever reaching the inner
-  /// evaluator. The result is identical whether a watchdog rescued the
-  /// stall early or it ran its full course, so traces stay deterministic
-  /// regardless of watchdog timing.
+  /// Per-attempt chance of a *hang*: the attempt stalls, parked on the
+  /// ambient CancellationToken (a timed ResilientEvaluator attempt's
+  /// deadline token) or, with none installed, on shutdown_token(), until
+  /// the token wakes it or hang_stall_seconds elapse. Either way it then
+  /// returns a Timeout-classified failure without ever reaching the inner
+  /// evaluator, so traces do not depend on which wake ended the stall.
   double hang_rate = 0.0;
   double hang_stall_seconds = 30.0;  ///< max real wall-clock stall per hang
   /// Per-attempt chance of a latency injection: sleep delay_seconds of

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "support/thread_pool.hpp"
-#include "tuner/watchdog.hpp"
 
 namespace portatune::tuner {
 
@@ -34,19 +33,6 @@ EvalCapabilities ParallelEvaluator::capabilities() const {
 
 std::vector<EvalResult> ParallelEvaluator::evaluate_batch(
     std::span<const ParamConfig> batch) {
-  const auto run_one = [&](const ParamConfig& config) {
-    if (opt_.eval_deadline_seconds <= 0.0) return inner_.evaluate(config);
-    // Watched per-eval cancellation domain: a cooperative hang below
-    // (e.g. the injected Hang fault parked on the ambient token) is woken
-    // and reported at the deadline instead of stalling this slot.
-    CancellationSource per_eval;
-    EvalWatchdog::Ticket ticket = EvalWatchdog::global().watch(
-        per_eval, opt_.eval_deadline_seconds,
-        inner_.problem_name() + "@" + inner_.machine_name());
-    CancellationScope scope(per_eval.token());
-    return inner_.evaluate(config);
-  };
-
   if (!pool_ || batch.size() <= 1) {
     // Serial path, cancellation-aware: stop *between* evaluations once
     // cancellation is requested and return the prefix evaluated so far.
@@ -54,7 +40,7 @@ std::vector<EvalResult> ParallelEvaluator::evaluate_batch(
     out.reserve(batch.size());
     for (const auto& config : batch) {
       if (opt_.cancel.cancelled()) break;
-      out.push_back(run_one(config));
+      out.push_back(inner_.evaluate(config));
     }
     return out;
   }
@@ -74,7 +60,7 @@ std::vector<EvalResult> ParallelEvaluator::evaluate_batch(
           ran[i] = 0;
           return;
         }
-        out[i] = run_one(batch[i]);
+        out[i] = inner_.evaluate(batch[i]);
       },
       pool_->size());
   std::size_t keep = batch.size();

@@ -25,6 +25,9 @@
 // channels on (seed, configuration, per-config attempt index) — never on
 // global call order — so evaluating a window concurrently returns the
 // exact results the serial loop would, independent of thread scheduling.
+// Deadlines are not this layer's job: a ResilientEvaluator below times
+// each attempt, and an injected hang records the same Timeout whichever
+// wake ends it.
 #pragma once
 
 #include <cstddef>
@@ -53,13 +56,6 @@ struct ParallelOptions {
   /// them in draw order and stops at a consistent, checkpointable point.
   /// Invalid (default) = never cancelled.
   CancellationToken cancel{};
-  /// Per-evaluation deadline registered with the EvalWatchdog (0 = off).
-  /// Each evaluation runs under a watched per-eval cancellation domain,
-  /// so a cooperatively hung evaluation is woken (and reported as
-  /// eval.hang_detected) at the deadline instead of stalling its batch
-  /// window for the hang's full duration. Layers below may enforce their
-  /// own (typically shorter) deadlines; the innermost one wins.
-  double eval_deadline_seconds = 0.0;
 };
 
 /// Decorator fanning evaluate_batch() out over a thread pool with

@@ -7,11 +7,15 @@
 #include <optional>
 #include <thread>
 
+#include "obs/event.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
+#include "obs/sink.hpp"
 #include "support/cancellation.hpp"
 #include "support/error.hpp"
+#include "support/signal.hpp"
 #include "support/thread_pool.hpp"
-#include "tuner/watchdog.hpp"
 
 namespace portatune::tuner {
 
@@ -29,14 +33,28 @@ std::string FailureBudgetTracker::reason() const {
 
 namespace {
 
-/// Shared slot for one watchdog-supervised attempt. The worker fills it;
-/// the caller may have given up waiting, so the slot owns all state.
-struct WatchdogSlot {
+/// Shared slot for one timed attempt. The worker fills it; the caller may
+/// have given up waiting, so the slot owns all state.
+struct AttemptSlot {
   std::mutex mutex;
   std::condition_variable cv;
   bool done = false;
   EvalResult result;
 };
+
+/// Count, log and black-box one attempt that was still running at its
+/// deadline.
+void report_hang(const std::string& label, double deadline_seconds) {
+  obs::MetricsRegistry::current().counter("eval.hang_detected").add(1);
+  if (obs::enabled(obs::Severity::Warn))
+    obs::emit(obs::make_instant(obs::Severity::Warn, "eval.hang_detected",
+                                "eval",
+                                {{"label", label},
+                                 {"deadline_seconds", deadline_seconds}}));
+  // A detected hang is an abnormal-exit precursor: ship the black box
+  // now, while the final moments are still in the ring.
+  obs::dump_flight_recorder("eval.hang_detected");
+}
 
 }  // namespace
 
@@ -50,7 +68,7 @@ ResilientEvaluator::ResilientEvaluator(Evaluator& inner, RetryPolicy policy)
     // while an attempt that ignores cancellation keeps sleeping, which
     // needs the thread hop. A few workers so one hung attempt does not
     // stall the next evaluation behind it in the queue.
-    watchdog_ = std::make_unique<ThreadPool>(4);
+    attempt_pool_ = std::make_unique<ThreadPool>(4);
   }
 }
 
@@ -86,7 +104,7 @@ void ResilientEvaluator::quarantine(std::uint64_t hash, FailureKind kind) {
 }
 
 EvalResult ResilientEvaluator::attempt(const ParamConfig& config) {
-  if (!watchdog_) {
+  if (!attempt_pool_) {
     try {
       return inner_.evaluate(config);
     } catch (const std::exception& e) {
@@ -96,21 +114,18 @@ EvalResult ResilientEvaluator::attempt(const ParamConfig& config) {
     }
   }
 
-  auto slot = std::make_shared<WatchdogSlot>();
-  Evaluator* inner = &inner_;
-  // Per-attempt cancellation domain, registered with the global deadline
-  // watchdog: a cooperatively hung attempt (parked on the ambient token)
-  // wakes the moment the deadline fires — or the process shuts down —
-  // instead of stalling its worker for the hang's full duration. The
-  // attempt runs under the domain's token; ThreadPool::submit would
-  // propagate the *caller's* ambient token, so the scope is re-installed
-  // inside the task.
-  CancellationSource attempt_cancel;
-  EvalWatchdog::Ticket ticket = EvalWatchdog::global().watch(
-      attempt_cancel, policy_.timeout_seconds,
-      inner_.problem_name() + "@" + inner_.machine_name());
-  watchdog_->submit([slot, inner, config,
-                     token = attempt_cancel.token()] {
+  // One deadline for both sides. The attempt runs under the shutdown
+  // token plus this deadline, so a cooperative hang parked on it (the
+  // injected Hang fault) wakes by itself at the deadline or at shutdown;
+  // the caller waits out the same instant and reports the hang.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(
+                             policy_.timeout_seconds));
+  auto slot = std::make_shared<AttemptSlot>();
+  attempt_pool_->submit([slot, inner = &inner_, config,
+                         token = shutdown_token().with_deadline(deadline)] {
     CancellationScope cancel_scope(token);
     EvalResult r;
     try {
@@ -125,28 +140,30 @@ EvalResult ResilientEvaluator::attempt(const ParamConfig& config) {
   });
 
   std::unique_lock lock(slot->mutex);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration<double>(policy_.timeout_seconds);
-  if (!slot->cv.wait_until(lock, deadline, [&] { return slot->done; })) {
-    // Abandon the attempt: the worker keeps running and will discard its
-    // result into the slot; the pool reaps it at destruction. expire()
-    // cancels the attempt's domain and reports the hang (exactly once —
-    // the monitor backs this up if the caller never reaches here).
-    ticket.expire();
-    return EvalResult::failure(
-        "evaluation exceeded the " +
-            std::to_string(policy_.timeout_seconds) + " s deadline",
-        FailureKind::Timeout);
-  }
-  return slot->result;
+  // Abandoned on expiry: the worker keeps running and discards its
+  // result into the slot; the pool reaps it at destruction.
+  EvalResult r =
+      slot->cv.wait_until(lock, deadline, [&] { return slot->done; })
+          ? slot->result
+          : EvalResult::failure("evaluation exceeded the " +
+                                    std::to_string(policy_.timeout_seconds) +
+                                    " s deadline",
+                                FailureKind::Timeout);
+  lock.unlock();
+  // Still running at the deadline: the wait expired, or the attempt came
+  // back Timeout only once it had passed (a hang its token woke). A hang
+  // that shutdown woke earlier is not reported.
+  if (r.failure_kind == FailureKind::Timeout && Clock::now() >= deadline)
+    report_hang(inner_.problem_name() + "@" + inner_.machine_name(),
+                policy_.timeout_seconds);
+  return r;
 }
 
 EvalResult ResilientEvaluator::evaluate(const ParamConfig& config) {
   // One causal span per call: the per-attempt events the inner observer
-  // emits (including retries, and the watchdog-thread hop — ThreadPool
-  // carries the SpanContext into the supervised attempt) all nest under
-  // this retry chain. Dormant path: one enabled() check.
+  // emits (including retries, and the attempt-pool hop — ThreadPool
+  // carries the SpanContext into the timed attempt) all nest under this
+  // retry chain. Dormant path: one enabled() check.
   std::optional<obs::ScopedTimer> call_span;
   if (obs::enabled(obs::Severity::Debug))
     call_span.emplace("resilient.call", "eval", std::vector<obs::Field>{},

@@ -7,10 +7,10 @@
 //
 //   * RetryPolicy / ResilientEvaluator — a decorator that retries
 //     transient failures with exponential backoff, enforces a wall-clock
-//     deadline per evaluation (watchdog thread), classifies failures
-//     (transient vs. deterministic vs. timeout), and quarantines
-//     configurations known to fail deterministically so they are never
-//     re-evaluated.
+//     deadline per attempt (reporting attempts that hang past it),
+//     classifies failures (transient vs. deterministic vs. timeout), and
+//     quarantines configurations known to fail deterministically so they
+//     are never re-evaluated.
 //   * FailureBudget / FailureBudgetTracker — a bound on consecutive and
 //     total failed evaluations threaded through every search algorithm,
 //     so a persistently failing evaluator terminates the search with a
@@ -97,9 +97,13 @@ struct RetryPolicy {
   /// Sleep the backoff for real (live systems). Off by default: simulated
   /// backends are deterministic, sleeping would only slow tests down.
   bool sleep_on_backoff = false;
-  /// Wall-clock deadline per attempt, in seconds; 0 disables the watchdog.
-  /// A timed-out attempt is abandoned (its worker thread is reaped on
-  /// destruction — the inner evaluator must eventually return).
+  /// Wall-clock deadline per attempt, in seconds; 0 = none. A timed
+  /// attempt runs on an attempt-pool thread under the shutdown token plus
+  /// its deadline (the ambient CancellationToken), so a cooperative hang
+  /// wakes at the deadline or at shutdown. The caller waits out the same
+  /// deadline: an attempt still running then is abandoned (its worker is
+  /// reaped on destruction — the inner evaluator must eventually return),
+  /// classified Timeout and reported once as `eval.hang_detected`.
   double timeout_seconds = 0.0;
   /// Quarantine configurations whose failure is deterministic / timed out /
   /// still transient after max_attempts.
@@ -180,8 +184,8 @@ class ResilientEvaluator final : public Evaluator {
   mutable std::mutex mutex_;
   ResilienceStats stats_;
   std::unordered_map<std::uint64_t, FailureKind> quarantine_;
-  /// Watchdog workers (created lazily when timeout_seconds > 0).
-  std::unique_ptr<ThreadPool> watchdog_;
+  /// Runs timed attempts (created when timeout_seconds > 0).
+  std::unique_ptr<ThreadPool> attempt_pool_;
 };
 
 }  // namespace portatune::tuner

@@ -36,6 +36,14 @@ TEST(TuningConfigTest, ValidationNamesTheOffendingField) {
   expect_rejects(TuningConfig{}.problem(""), "problem");
   expect_rejects(TuningConfig{}.machine(""), "machine");
   expect_rejects(TuningConfig{}.max_evals(0), "max_evals");
+  expect_rejects(TuningConfig{}.max_evals(TuningConfig::kMaxEvals + 1),
+                 "max_evals");
+  EXPECT_NO_THROW(TuningConfig{}.max_evals(TuningConfig::kMaxEvals).validate());
+  expect_rejects(
+      TuningConfig{}.eval_threads(TuningConfig::kMaxEvalThreads + 1),
+      "eval_threads");
+  EXPECT_NO_THROW(
+      TuningConfig{}.eval_threads(TuningConfig::kMaxEvalThreads).validate());
   expect_rejects(TuningConfig{}.pool_size(0), "pool_size");
   expect_rejects(TuningConfig{}.pool_size(TuningConfig::kMaxPoolSize + 1),
                  "pool_size");
@@ -44,8 +52,6 @@ TEST(TuningConfigTest, ValidationNamesTheOffendingField) {
   expect_rejects(TuningConfig{}.delta_percent(0.0), "delta_percent");
   expect_rejects(TuningConfig{}.delta_percent(100.0), "delta_percent");
   expect_rejects(TuningConfig{}.kernel_threads(0), "kernel_threads");
-  expect_rejects(TuningConfig{}.eval_deadline_seconds(-1.0),
-                 "eval_deadline");
   expect_rejects(TuningConfig{}.failure_budget({0, 0}), "failure budget");
 
   // Guard invariants only bind when the guard is on.

@@ -1,37 +1,52 @@
 # ctest script: the CLI's --threads flag must not change search results.
-# Runs the same fault-injected collect twice — serial and with a 4-worker
-# evaluation window — and compares the T_a files (checkpoint CSVs: the
-# trace plus its draw watermark, clock, stats and quarantine) after
-# stripping the wall-clock column (the one field that legitimately
-# differs between runs). Then runs a three-cell journaled experiment with
-# one cell at a time and with four, and compares every cell's six phase
-# files the same way. The gtest suites prove the library-level parity;
-# this checks the CLI wiring end to end.
+# Runs two fault-injected collects twice each — serial and with a
+# 4-worker evaluation window — and compares the T_a files (checkpoint
+# CSVs: the trace plus its draw watermark, clock, stats and quarantine)
+# after stripping the wall-clock column (the one field that legitimately
+# differs between runs). The first injects transient failures; the
+# second adds hangs that only the resilient layer's --timeout deadline
+# ends, so the timed path runs in every CI job, the sanitizer ones
+# included. Then runs a three-cell journaled experiment with one cell at
+# a time and with four, and compares every cell's six phase files the
+# same way. The gtest suites prove the library-level parity; this checks
+# the CLI wiring end to end.
 #
 # Inputs: -DCLI=<portatune_cli path> -DWORK_DIR=<scratch directory>
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
-set(SERIAL "${WORK_DIR}/serial.csv")
-set(PARALLEL "${WORK_DIR}/parallel.csv")
 
-foreach(run "serial;1" "parallel;4")
-  list(GET run 0 name)
-  list(GET run 1 threads)
-  execute_process(
-    COMMAND "${CLI}" collect
-      --problem LU --machine Westmere --nmax 40
-      --faults 0.1 --retries 2 --quiet
-      --threads "${threads}"
-      --out "${WORK_DIR}/${name}.csv"
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR
-      "portatune_cli collect --threads ${threads} exited with ${rc}:\n"
-      "${out}\n${err}")
-  endif()
-endforeach()
+# collect_pair(<name> <cli options...>): the same collect at --threads 1
+# and 4, into <name>-1.csv and <name>-4.csv; sets <name>_out to the
+# serial run's output.
+function(collect_pair name)
+  foreach(threads 1 4)
+    execute_process(
+      COMMAND "${CLI}" collect
+        --problem LU --machine Westmere --nmax 40 ${ARGN}
+        --threads "${threads}"
+        --out "${WORK_DIR}/${name}-${threads}.csv"
+      RESULT_VARIABLE rc
+      OUTPUT_VARIABLE out
+      ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR
+        "portatune_cli collect ${ARGN} --threads ${threads} exited with "
+        "${rc}:\n${out}\n${err}")
+    endif()
+    if(threads EQUAL 1)
+      set(${name}_out "${out}" PARENT_SCOPE)
+    endif()
+  endforeach()
+endfunction()
+
+collect_pair(transient --faults 0.1 --retries 2 --quiet)
+collect_pair(timed --faults transient:0.1,hang:0.05,hang-stall:30
+  --retries 2 --timeout 1)
+if(NOT timed_out MATCHES ", [1-9][0-9]* timeout\\)")
+  message(FATAL_ERROR
+    "the timed collect recorded no timeout; its hangs never reached the "
+    "--timeout deadline:\n${timed_out}")
+endif()
 
 # Strip the trailing wall_unix column from every data row — and the
 # checksum footer, which hashes those timestamps and so differs too —
@@ -51,19 +66,22 @@ function(canonicalize path out_var)
   set(${out_var} "${result}" PARENT_SCOPE)
 endfunction()
 
-canonicalize("${SERIAL}" serial_body)
-canonicalize("${PARALLEL}" parallel_body)
-if(NOT serial_body STREQUAL parallel_body)
-  message(FATAL_ERROR
-    "--threads 4 produced a different trace than --threads 1:\n"
-    "=== serial ===\n${serial_body}\n=== parallel ===\n${parallel_body}")
-endif()
+foreach(name transient timed)
+  canonicalize("${WORK_DIR}/${name}-1.csv" serial_body)
+  canonicalize("${WORK_DIR}/${name}-4.csv" parallel_body)
+  if(NOT serial_body STREQUAL parallel_body)
+    message(FATAL_ERROR
+      "${name} collect: --threads 4 produced a different trace than "
+      "--threads 1:\n"
+      "=== serial ===\n${serial_body}\n=== parallel ===\n${parallel_body}")
+  endif()
 
-string(REGEX MATCHALL "\n" rows "${serial_body}")
-list(LENGTH rows n_rows)
-if(n_rows LESS 10)
-  message(FATAL_ERROR "trace suspiciously small: ${n_rows} lines")
-endif()
+  string(REGEX MATCHALL "\n" rows "${serial_body}")
+  list(LENGTH rows n_rows)
+  if(n_rows LESS 10)
+    message(FATAL_ERROR "${name} trace suspiciously small: ${n_rows} lines")
+  endif()
+endforeach()
 
 # The journaled experiment: cells fan out on the global pool, where each
 # cell's fits and ranks nest inside the cell loop.

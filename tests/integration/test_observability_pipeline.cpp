@@ -191,10 +191,12 @@ TEST(SpanTreeIntegrity, ParallelFaultInjectedSearchHasNoOrphans) {
   EXPECT_GT(threads.size(), 1u);  // the fan-out actually used workers
 
   // No orphans: every parent link resolves to an emitted span.
-  for (const auto& e : events)
-    if (e.parent_span_id != 0)
+  for (const auto& e : events) {
+    if (e.parent_span_id != 0) {
       EXPECT_TRUE(span_ids.count(e.parent_span_id))
           << e.name << " references unknown span " << e.parent_span_id;
+    }
+  }
 
   // Every eval event chains (transitively) up to the search span.
   std::map<std::uint64_t, std::uint64_t> parent_of;

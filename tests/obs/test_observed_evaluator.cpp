@@ -78,7 +78,7 @@ TEST(ObservedEvaluator, SeesEachAttemptInsideTheResilientStack) {
   EXPECT_EQ(reg.counter("eval.calls").value(), 3u);  // one per attempt
 
   // Three attempt events plus the retry-chain span they nest under —
-  // the chain survives the watchdog's thread hop.
+  // every retry nests under the one chain.
   std::uint64_t chain_span = 0;
   std::size_t attempts = 0;
   for (const auto& e : sink.events())

@@ -180,7 +180,10 @@ TEST_F(ServiceProtocolTest, ErrorsAreRepliesNeverThrows) {
 TEST_F(ServiceProtocolTest, OpenRejectsOutOfRangeNumbers) {
   // Each of these once reached an unchecked integer cast: -5 and 1e300
   // are out of range (undefined behaviour), 2.5 truncated to 2, and 2e6
-  // built a pool large enough to hold the poll thread for seconds.
+  // built a pool large enough to hold the poll thread for seconds. 1e18
+  // evaluations would let one `suggest` draw until memory runs out, and
+  // 1e6 evaluation threads would be started on the poll thread; both are
+  // rejected before any pool exists.
   const std::pair<const char*, const char*> hostile[] = {
       {R"("max_evals":-5)", "max_evals"},
       {R"("pool_size":2.5)", "pool_size"},
@@ -188,6 +191,8 @@ TEST_F(ServiceProtocolTest, OpenRejectsOutOfRangeNumbers) {
       {R"("pool_size":2e6)", "pool_size"},
       {R"("seed":1.8446744073709552e19)", "seed"},
       {R"("eval_threads":-1)", "eval_threads"},
+      {R"("max_evals":1e18)", "max_evals"},
+      {R"("eval_threads":1e6)", "eval_threads"},
   };
   for (const auto& [member, field] : hostile) {
     const auto reply =

@@ -149,14 +149,17 @@ TEST(TuningServiceTest, CheckpointResumeContinuesExactly) {
     // The service dies here; its destructor checkpoints once more.
   }
 
-  // Sessions written before ForestParams lost `parallel_fit` carry it in
-  // meta.json; the reader ignores the key.
+  // Sessions written before ForestParams lost `parallel_fit`, or before
+  // TuningConfig lost `eval_deadline_seconds`, carry those keys in
+  // meta.json; the reader ignores both.
   const std::string meta_path = opt.data_dir + "/sessions/job/meta.json";
   std::string meta = read_file(meta_path);
   const std::string forest = "\"forest\":{";
   ASSERT_NE(meta.find(forest), std::string::npos);
   ASSERT_EQ(meta.find("parallel_fit"), std::string::npos);
+  ASSERT_EQ(meta.find("eval_deadline_seconds"), std::string::npos);
   meta.insert(meta.find(forest) + forest.size(), "\"parallel_fit\":true,");
+  meta.insert(meta.find(forest), "\"eval_deadline_seconds\":0.5,");
   atomic_write_file(meta_path, meta);
 
   TuningService revived(opt);

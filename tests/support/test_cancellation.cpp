@@ -5,8 +5,6 @@
 #include <chrono>
 #include <thread>
 
-#include "support/thread_pool.hpp"
-
 namespace portatune {
 namespace {
 
@@ -74,20 +72,56 @@ TEST(Cancellation, ScopeInstallsAndRestoresAmbientToken) {
   EXPECT_FALSE(current_cancellation_token().valid());
 }
 
-TEST(Cancellation, ThreadPoolPropagatesAmbientToken) {
-  // The submitter's ambient token must ride across the thread hop, so
-  // work deep inside a pooled task observes the caller's cancellation
-  // domain (exactly like SpanContext propagation).
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(Cancellation, DeadlineWakesWaitFor) {
+  // Nothing cancels the domain: the token's own deadline ends the wait.
   CancellationSource source;
-  source.request_cancel();
-  CancellationScope scope(source.token());
-  ThreadPool pool(2);
-  std::atomic<int> seen{0};
-  pool.parallel_for(0, 8, [&](std::size_t) {
-    if (current_cancellation_token().cancelled())
-      seen.fetch_add(1, std::memory_order_relaxed);
+  const auto start = std::chrono::steady_clock::now();
+  const CancellationToken token = source.token().with_deadline(
+      start + std::chrono::milliseconds(20));
+  EXPECT_TRUE(token.wait_for(30.0));
+  EXPECT_GE(seconds_since(start), 0.02);
+  EXPECT_LT(seconds_since(start), 5.0);
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_FALSE(source.cancel_requested());  // the domain is untouched
+  EXPECT_FALSE(source.token().cancelled());
+}
+
+TEST(Cancellation, DomainCancelBeatsALongDeadline) {
+  CancellationSource source;
+  const CancellationToken token = source.token().with_deadline(
+      std::chrono::steady_clock::now() + std::chrono::seconds(30));
+  EXPECT_FALSE(token.cancelled());
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    source.request_cancel();
   });
-  EXPECT_EQ(seen.load(), 8);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(token.wait_for(60.0));
+  EXPECT_LT(seconds_since(start), 5.0);
+  canceller.join();
+}
+
+TEST(Cancellation, DeadlineWithoutADomainSleepsToTheEarlierBound) {
+  const auto start = std::chrono::steady_clock::now();
+  const CancellationToken soon =
+      CancellationToken{}.with_deadline(start + std::chrono::milliseconds(20));
+  EXPECT_TRUE(soon.valid());
+  EXPECT_TRUE(soon.wait_for(30.0));  // the deadline comes first
+  EXPECT_GE(seconds_since(start), 0.02);
+  EXPECT_LT(seconds_since(start), 5.0);
+
+  const auto later = std::chrono::steady_clock::now();
+  const CancellationToken far =
+      CancellationToken{}.with_deadline(later + std::chrono::seconds(30));
+  EXPECT_FALSE(far.wait_for(0.02));  // the duration comes first
+  EXPECT_GE(seconds_since(later), 0.02);
+  EXPECT_FALSE(far.cancelled());
 }
 
 }  // namespace

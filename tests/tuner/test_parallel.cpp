@@ -12,6 +12,8 @@
 //   * ResilientEvaluator's quarantine stays exact under concurrent
 //     hammering from many threads.
 //   * run_transfer_experiments returns the same results at any fan-out.
+//   * A cancelled window returns a clean prefix, and a cancelled search
+//     stops at a window boundary and resumes exactly.
 #include "tuner/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -466,6 +468,57 @@ TEST(ParallelExperiments, FanOutMatchesSerialJobOrder) {
     EXPECT_DOUBLE_EQ(serial[j].spearman, fanned[j].spearman);
     EXPECT_DOUBLE_EQ(serial[j].biased_speedup.performance,
                      fanned[j].biased_speedup.performance);
+  }
+}
+
+TEST(Cancellation, ParallelBatchReturnsCleanPrefixWhenCancelled) {
+  QuadraticEvaluator backend("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
+  CancellationSource cancel;
+  cancel.request_cancel();
+  ParallelOptions popt;
+  popt.threads = 4;
+  popt.cancel = cancel.token();
+  ParallelEvaluator par(backend, popt);
+  std::vector<ParamConfig> batch(8, ParamConfig{0, 0, 0, 0});
+  // Already cancelled: no evaluation starts, the prefix is empty.
+  EXPECT_TRUE(par.evaluate_batch(batch).empty());
+}
+
+TEST(Cancellation, SearchStopsAtWindowBoundaryAndResumes) {
+  // A cancelled search records the cancellation stop reason; resuming the
+  // checkpoint with a fresh (uncancelled) option set clears it and
+  // completes with results identical to an uninterrupted run.
+  QuadraticEvaluator uninterrupted("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
+  SearchOptions opt;
+  opt.max_evals = 30;
+  opt.seed = 11;
+  const SearchTrace reference = random_search(uninterrupted, opt);
+
+  QuadraticEvaluator first("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
+  CancellationSource cancel;
+  SearchCheckpoint snapshot;
+  SearchOptions interrupted = opt;
+  interrupted.cancel = cancel.token();
+  interrupted.checkpoint_every = 5;
+  interrupted.on_checkpoint = [&](const SearchCheckpoint& s) {
+    snapshot = s;
+    if (s.trace.size() >= 10) cancel.request_cancel();
+  };
+  const SearchTrace partial = random_search(first, interrupted);
+  ASSERT_EQ(partial.stop_reason(), kCancelledStopReason);
+  ASSERT_LT(partial.size(), reference.size());
+  ASSERT_GE(snapshot.trace.size(), partial.size());  // final checkpoint
+
+  QuadraticEvaluator second("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
+  SearchOptions resume = opt;
+  resume.resume = &snapshot;
+  const SearchTrace completed = random_search(second, resume);
+  EXPECT_TRUE(completed.stop_reason().empty());
+  ASSERT_EQ(completed.size(), reference.size());
+  for (std::size_t i = 0; i < completed.size(); ++i) {
+    EXPECT_EQ(completed.entry(i).config, reference.entry(i).config);
+    EXPECT_EQ(completed.entry(i).seconds, reference.entry(i).seconds);
+    EXPECT_EQ(completed.entry(i).draw_index, reference.entry(i).draw_index);
   }
 }
 

@@ -6,9 +6,12 @@
 #include <sstream>
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "tests/tuner/synthetic.hpp"
+#include "tuner/faults.hpp"
+#include "tuner/parallel.hpp"
 #include "tuner/persistence.hpp"
 #include "tuner/random_search.hpp"
 
@@ -68,6 +71,58 @@ class SleepyEvaluator final : public Evaluator {
   ParamSpace space_;
   double sleep_seconds_;
 };
+
+/// Sends configurations whose first parameter is 0 to `hanging`, every
+/// other one to `healthy`; both evaluate the same space.
+class RouteByFirstParam final : public Evaluator {
+ public:
+  RouteByFirstParam(Evaluator& hanging, Evaluator& healthy)
+      : hanging_(hanging), healthy_(healthy) {}
+
+  const ParamSpace& space() const override { return healthy_.space(); }
+  EvalResult evaluate(const ParamConfig& config) override {
+    return (config[0] == 0 ? hanging_ : healthy_).evaluate(config);
+  }
+  std::string problem_name() const override { return "routed"; }
+  std::string machine_name() const override { return "R"; }
+
+ private:
+  Evaluator& hanging_;
+  Evaluator& healthy_;
+};
+
+/// A 30 s cooperative hang on every configuration whose first parameter
+/// is 0, behind a ResilientEvaluator with a `timeout` deadline.
+struct HangingStack {
+  explicit HangingStack(double timeout)
+      : hanging(backend, hang_profile()),
+        routed(hanging, backend),
+        resilient(routed, policy(timeout)) {}
+
+  static FaultProfile hang_profile() {
+    FaultProfile p;
+    p.hang_rate = 1.0;
+    p.hang_stall_seconds = 30.0;
+    return p;
+  }
+  static RetryPolicy policy(double timeout) {
+    RetryPolicy p;
+    p.max_attempts = 1;
+    p.timeout_seconds = timeout;
+    return p;
+  }
+
+  QuadraticEvaluator backend{"A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25}};
+  FaultInjectingEvaluator hanging;
+  RouteByFirstParam routed;
+  ResilientEvaluator resilient;
+};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 TEST(FailureBudget, ConsecutiveCounterResetsOnSuccess) {
   FailureBudgetTracker t({.max_consecutive = 3, .max_total = 100});
@@ -182,6 +237,94 @@ TEST(ResilientEvaluator, WatchdogTimesOutSlowEvaluations) {
   EXPECT_LT(waited, 0.2);  // returned well before the sleep finished
   EXPECT_TRUE(resilient.is_quarantined({0, 1}));
   EXPECT_EQ(resilient.stats().timeouts, 1u);
+}
+
+TEST(ResilientEvaluator, DeadlineRescuesAHungEvaluation) {
+  // A seeded hang would stall 30 s; the attempt's deadline token wakes it
+  // at 50 ms, so the attempt pool (joined when the evaluator goes) is
+  // free long before the stall would end.
+  const auto start = std::chrono::steady_clock::now();
+  {
+    HangingStack stack(0.05);
+    const EvalResult r = stack.resilient.evaluate({0, 0, 0, 0});
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.failure_kind, FailureKind::Timeout);
+  }
+  EXPECT_LT(seconds_since(start), 10.0);
+}
+
+TEST(ResilientEvaluator, HangsBeyondThePoolWidthLeaveRoomForTheNext) {
+  // Six hangs, more than the attempt pool's four workers: unless each
+  // deadline also wakes its hang, every worker is still parked when the
+  // healthy evaluation queues, and it times out too.
+  HangingStack stack(0.5);
+  for (int i = 0; i < 6; ++i) {
+    const EvalResult r = stack.resilient.evaluate({0, i % 2, i / 2, 0});
+    EXPECT_EQ(r.failure_kind, FailureKind::Timeout) << i;
+  }
+  const EvalResult healthy = stack.resilient.evaluate({3, 1, 2, 0});
+  EXPECT_TRUE(healthy.ok) << healthy.error;
+  EXPECT_EQ(stack.resilient.stats().timeouts, 6u);
+}
+
+TEST(ResilientEvaluator, ReportsEachDeadlineHangOnce) {
+  // The caller that waits out a deadline reports the hang, once, before
+  // evaluate() returns; an attempt back in time reports nothing.
+  HangingStack stack(0.5);
+  obs::MetricsRegistry in_time;
+  {
+    obs::ScopedMetricsRedirect redirect(in_time);
+    EXPECT_TRUE(stack.resilient.evaluate({1, 0, 0, 0}).ok);
+  }
+  EXPECT_EQ(in_time.counter("eval.hang_detected").value(), 0u);
+
+  obs::MetricsRegistry hung;
+  {
+    obs::ScopedMetricsRedirect redirect(hung);
+    for (int i = 0; i < 3; ++i)
+      EXPECT_EQ(stack.resilient.evaluate({0, 0, i, 0}).failure_kind,
+                FailureKind::Timeout);
+  }
+  EXPECT_EQ(hung.counter("eval.hang_detected").value(), 3u);
+}
+
+TEST(ResilientEvaluator, SerialAndParallelTracesMatchUnderHangFaults) {
+  // The determinism contract under hangs: the injected hang returns the
+  // same Timeout failure whichever wake ends it, so a parallel window over
+  // a timed resilient layer produces a trace bit-identical to the serial
+  // one — only wall-clock time differs.
+  const auto run = [](std::size_t threads) {
+    QuadraticEvaluator backend("A", {7, 2, 5, 1}, {1.0, 0.5, 2.0, 0.25});
+    FaultProfile profile;
+    profile.hang_rate = 0.15;
+    profile.hang_stall_seconds = 30.0;
+    profile.seed = 21;
+    FaultInjectingEvaluator faulty(backend, profile);
+    RetryPolicy retry;
+    retry.timeout_seconds = 0.2;  // ends every hang quickly
+    ResilientEvaluator resilient(faulty, retry);
+    ParallelOptions popt;
+    popt.threads = threads;
+    ParallelEvaluator par(resilient, popt);
+    SearchOptions opt;
+    opt.max_evals = 25;
+    opt.seed = 5;
+    return random_search(par, opt);
+  };
+
+  const SearchTrace serial = run(1);
+  const SearchTrace parallel = run(4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial.entry(i).config, parallel.entry(i).config);
+    EXPECT_EQ(serial.entry(i).seconds, parallel.entry(i).seconds);
+    EXPECT_EQ(serial.entry(i).draw_index, parallel.entry(i).draw_index);
+  }
+  EXPECT_EQ(serial.failure_stats().failures,
+            parallel.failure_stats().failures);
+  EXPECT_EQ(serial.failure_stats().timeouts,
+            parallel.failure_stats().timeouts);
+  EXPECT_GT(serial.failure_stats().timeouts, 0u);  // hangs actually fired
 }
 
 TEST(ResilientEvaluator, QuarantineHashesRoundTrip) {
