@@ -1,5 +1,9 @@
 #include "apps/tuning_config.hpp"
 
+#include <cmath>
+#include <string>
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace portatune::apps {
@@ -106,6 +110,16 @@ const TuningConfig& TuningConfig::validate() const {
              "TuningConfig: kernel_threads must be >= 1");
   PT_REQUIRE(retry_.max_attempts >= 1,
              "TuningConfig: retry.max_attempts must be >= 1");
+  for (const auto& [name, seconds] :
+       {std::pair{"timeout_seconds", retry_.timeout_seconds},
+        std::pair{"backoff_initial", retry_.backoff_initial},
+        std::pair{"backoff_max", retry_.backoff_max}})
+    PT_REQUIRE(std::isfinite(seconds) && seconds >= 0.0 &&
+                   seconds <= kMaxRetrySeconds,
+               std::string("TuningConfig: retry.") + name +
+                   " must lie in 0.." +
+                   std::to_string(static_cast<int>(kMaxRetrySeconds)) +
+                   " seconds");
   PT_REQUIRE(eval_threads_ <= kMaxEvalThreads,
              "TuningConfig: eval_threads must lie in 0.." +
                  std::to_string(kMaxEvalThreads));

@@ -50,6 +50,11 @@ class TuningConfig {
   /// uses one thread per core) on machines with up to 256 hardware
   /// threads.
   static constexpr std::size_t kMaxEvalThreads = 256;
+  /// validate()'s bound on the retry policy's time fields (timeout,
+  /// backoff initial and max), in seconds: one day. A deadline becomes a
+  /// steady_clock time point, whose conversion overflows (undefined
+  /// behaviour) for values like 1e300; a day bounds any real attempt.
+  static constexpr double kMaxRetrySeconds = 86400.0;
 
   // -- Backend ----------------------------------------------------------
   TuningConfig& problem(std::string name);

@@ -1,5 +1,6 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -213,13 +214,13 @@ std::string op_status(TuningService& svc) {
     m.emplace_back("closed", Value::make_bool(s.closed));
     sessions.push_back(Value::make_object(std::move(m)));
   }
+  const TuningService::StoreCounts counts = svc.store_counts();
   Members store;
   store.emplace_back(
-      "entries",
-      Value::make_number(static_cast<double>(svc.store().size())));
+      "entries", Value::make_number(static_cast<double>(counts.entries)));
   store.emplace_back(
       "quarantined",
-      Value::make_number(static_cast<double>(svc.store().quarantined())));
+      Value::make_number(static_cast<double>(counts.quarantined)));
   Members m;
   m.emplace_back("sessions", Value::make_array(std::move(sessions)));
   m.emplace_back("cache", Value::make_object(cache_members(svc.cache().stats())));
@@ -253,7 +254,7 @@ std::string op_stats(TuningService& svc, std::uint64_t requests_handled) {
                       Value::make_number(static_cast<double>(closed)));
   server.emplace_back(
       "store_entries",
-      Value::make_number(static_cast<double>(svc.store().size())));
+      Value::make_number(static_cast<double>(svc.store_counts().entries)));
   server.emplace_back("cache",
                       Value::make_object(cache_members(svc.cache().stats())));
   Members m;
@@ -272,6 +273,7 @@ ServiceProtocol::ServiceProtocol(TuningService& svc, ProtocolOptions opt)
     requests_total_ = &reg.counter("server.requests");
     requests_failed_ = &reg.counter("server.requests_failed");
     replays_ = &reg.counter("server.rid.replays");
+    queue_ = &reg.histogram("server.request.queue_seconds");
     for (const char* op : kOps) {
       const std::string prefix = std::string("server.op.") + op;
       OpInstruments ins;
@@ -443,141 +445,166 @@ void ServiceProtocol::load_state() {
   }
 }
 
-ProtocolReply ServiceProtocol::handle_line(const std::string& line) {
-  const std::uint64_t req_id = ++requests_;
-  // Dormant path: telemetry off and nothing listening => no clock reads,
-  // no span bookkeeping; the request costs parse + dispatch + reply.
-  const bool tracing = obs::enabled(obs::Severity::Info);
-  const bool timed = opt_.telemetry || tracing;
-  const double t0 = timed ? obs::mono_now() : 0.0;
-
-  // Open the request span *before* dispatch so everything the op does —
-  // the session op span, every evaluation the step fans out to pool
-  // threads — parents under this request in the trace tree.
-  const std::uint64_t span_id = tracing ? next_span_id() : 0;
-  const std::uint64_t parent_span = current_span_context().span;
-  std::optional<SpanScope> scope;
-  if (tracing) scope.emplace(SpanContext{span_id});
-
-  std::string op = "invalid";
-  std::string session_id;
-  std::string error;
-  std::string rid;
-  std::string rid_client;
-  bool replayed = false;
-  ProtocolReply reply;
-  // Requests are *counted* on arrival (as soon as the op is known), so a
-  // `stats` reply's snapshot includes the very request that produced it;
-  // errors and latency are recorded on completion below. Replays are the
-  // exception: they count only under server.requests and
-  // server.rid.replays — the per-op counters record executions, exactly
-  // one per logical client call, which is what the loadgen cross-checks.
-  bool counted = false;
-  const auto count_arrival = [&] {
-    if (opt_.telemetry && !counted) {
-      counted = true;
-      requests_total_->add(1);
-      if (replayed) replays_->add(1);
-      else instruments(op).count->add(1);
-    }
-  };
+ProtocolRequest ServiceProtocol::parse(const std::string& line,
+                                       double framed) {
+  ProtocolRequest req;
+  req.bytes_in = line.size();
+  req.framed = framed;
   try {
-    const Value req = Value::parse(line);
-    PT_REQUIRE(req.is_object(), "request must be a JSON object");
-    if (const Value* v = req.find("id"); v != nullptr && v->is_string())
-      session_id = v->as_string();
-    const std::string requested = required_string(req, "op");
+    req.body = Value::parse(line);
+    PT_REQUIRE(req.body.is_object(), "request must be a JSON object");
+    if (const Value* v = req.body.find("id"); v != nullptr && v->is_string())
+      req.session = v->as_string();
+    const std::string requested = required_string(req.body, "op");
     for (const char* known : kOps)
-      if (requested == known && requested != "invalid") op = requested;
-    PT_REQUIRE(op != "invalid", "unknown op '" + requested + "'");
-    if (const Value* v = req.find("rid"); v != nullptr && mutating_op(op)) {
+      if (requested == known && requested != "invalid") req.op = requested;
+    PT_REQUIRE(req.op != "invalid", "unknown op '" + requested + "'");
+    if (const Value* v = req.body.find("rid");
+        v != nullptr && mutating_op(req.op)) {
       PT_REQUIRE(v->is_string(), "'rid' must be a string");
-      rid = v->as_string();
-      const std::size_t colon = rid.rfind(':');
-      rid_client = colon == std::string::npos ? rid : rid.substr(0, colon);
-      if (const std::string* cached = replay_lookup(rid_client, rid)) {
-        // Exactly-once: this rid already executed and we remember what
-        // we said. Replay it verbatim — re-executing a step/report
-        // would double-consume draws and fork the CRN trace.
-        replayed = true;
-        reply = {*cached, false};
-        count_arrival();
-        return reply;
-      }
+      req.rid = v->as_string();
+      const std::size_t colon = req.rid.rfind(':');
+      req.rid_client =
+          colon == std::string::npos ? req.rid : req.rid.substr(0, colon);
     }
-    count_arrival();
-    if (op == "open") reply = {op_open(svc_, req), false};
-    else if (op == "resume") reply = {op_resume(svc_, req), false};
-    else if (op == "step") reply = {op_step(svc_, req), false};
-    else if (op == "suggest") reply = {op_suggest(svc_, req), false};
-    else if (op == "report") reply = {op_report(svc_, req), false};
-    else if (op == "checkpoint") reply = {op_checkpoint(svc_, req), false};
-    else if (op == "close") reply = {op_close(svc_, req), false};
-    else if (op == "status") reply = {op_status(svc_), false};
-    else if (op == "stats") reply = {op_stats(svc_, requests_), false};
+  } catch (const std::exception& e) {
+    req.error = e.what();
+  }
+  return req;
+}
+
+bool ServiceProtocol::begin(ProtocolRequest& req) {
+  req.req_id = ++requests_;
+  const bool tracing = obs::enabled(obs::Severity::Info);
+  // Dormant path: telemetry off and nothing listening => no clock reads.
+  if (req.framed < 0.0 && (opt_.telemetry || tracing))
+    req.framed = obs::mono_now();
+  if (tracing) {
+    req.span = next_span_id();
+    req.parent_span = current_span_context().span;
+  }
+  if (req.error.empty() && !req.rid.empty()) {
+    if (const std::string* cached = replay_lookup(req.rid_client, req.rid)) {
+      // Exactly-once: this rid already executed and we remember what we
+      // said. Replay it verbatim — re-executing a step/report would
+      // double-consume draws and fork the CRN trace.
+      req.replayed = true;
+      req.reply = {*cached, false};
+    }
+  }
+  // Requests are *counted* on arrival (as soon as the op is known), so a
+  // `stats` reply's snapshot includes the very request that produced it.
+  // Replays count only under server.requests and server.rid.replays —
+  // the per-op counters record executions, exactly one per logical
+  // client call, which is what the loadgen cross-checks. Lines that fail
+  // to parse count under their op when it is known, else "invalid".
+  if (opt_.telemetry) {
+    requests_total_->add(1);
+    if (req.replayed) replays_->add(1);
+    else instruments(req.op).count->add(1);
+  }
+  if (!req.error.empty()) req.reply = {error_reply(req.error), false};
+  req.answered = req.replayed || !req.error.empty();
+  return !req.answered;
+}
+
+void ServiceProtocol::execute(ProtocolRequest& req) const {
+  // The request span is this thread's context while the op runs, so the
+  // session op span and every evaluation it fans out parent under it —
+  // on the poll thread and on a pool thread alike.
+  std::optional<SpanScope> scope;
+  if (req.span != 0) scope.emplace(SpanContext{req.span});
+  const bool timed = opt_.telemetry || req.span != 0;
+  if (timed) req.exec_start = obs::mono_now();
+  const Value& body = req.body;
+  try {
+    const std::string& op = req.op;
+    if (op == "open") req.reply = {op_open(svc_, body), false};
+    else if (op == "resume") req.reply = {op_resume(svc_, body), false};
+    else if (op == "step") req.reply = {op_step(svc_, body), false};
+    else if (op == "suggest") req.reply = {op_suggest(svc_, body), false};
+    else if (op == "report") req.reply = {op_report(svc_, body), false};
+    else if (op == "checkpoint") req.reply = {op_checkpoint(svc_, body), false};
+    else if (op == "close") req.reply = {op_close(svc_, body), false};
+    else if (op == "status") req.reply = {op_status(svc_), false};
+    else if (op == "stats") req.reply = {op_stats(svc_, req.req_id), false};
     else {  // shutdown
       Members m;
       m.emplace_back("shutdown", Value::make_bool(true));
-      reply = {ok_reply(std::move(m)), true};
+      req.reply = {ok_reply(std::move(m)), true};
     }
   } catch (const std::exception& e) {
-    error = e.what();
-    reply = {error_reply(error), false};
+    req.error = e.what();
+    req.reply = {error_reply(req.error), false};
   }
-  count_arrival();  // parse/validation failures count under "invalid"
-  const bool failed = !error.empty();
+  if (timed) req.exec_seconds = obs::mono_now() - req.exec_start;
+}
+
+ProtocolReply ServiceProtocol::finish(ProtocolRequest& req) {
+  if (req.replayed) return req.reply;
+  const bool failed = !req.error.empty();
+  const bool executed = !req.answered;
 
   // Error replies are cached too: a deterministic failure (bad config,
   // closed session) must answer a retry the same way, not re-execute
   // into a *different* failure — or worse, a success — on the retry.
-  if (!rid.empty()) replay_store(rid_client, rid, reply.line);
+  if (!req.rid.empty()) replay_store(req.rid_client, req.rid, req.reply.line);
 
   if (failed && obs::enabled(obs::Severity::Warn)) {
-    // Satellite: op errors reach the event stream (and so the flight
-    // recorder's ring), not just the failing client.
+    // Op errors reach the event stream (and so the flight recorder's
+    // ring), not just the failing client.
     obs::emit(obs::make_instant(obs::Severity::Warn, "service.op_error",
                                 "service",
-                                {{"req", req_id},
-                                 {"op", op},
-                                 {"session", session_id},
-                                 {"error", error}}));
+                                {{"req", req.req_id},
+                                 {"op", req.op},
+                                 {"session", req.session},
+                                 {"error", req.error}}));
   }
+  if (opt_.telemetry) {
+    OpInstruments& ins = instruments(req.op);
+    if (failed) {
+      requests_failed_->add(1);
+      ins.errors->add(1);
+    }
+    if (executed) {
+      ins.latency->observe(req.exec_seconds);
+      queue_->observe(std::max(0.0, req.exec_start - req.framed));
+    }
+  }
+  if (executed && opt_.slow_request_seconds > 0.0 &&
+      req.exec_seconds > opt_.slow_request_seconds &&
+      obs::enabled(obs::Severity::Warn)) {
+    obs::emit(obs::make_instant(obs::Severity::Warn, "server.slow_request",
+                                "service",
+                                {{"req", req.req_id},
+                                 {"op", req.op},
+                                 {"session", req.session},
+                                 {"seconds", req.exec_seconds},
+                                 {"threshold", opt_.slow_request_seconds}}));
+  }
+  if (req.span != 0) {
+    obs::Event ev = obs::make_span(
+        obs::Severity::Info, "server.op." + req.op, "service",
+        req.exec_seconds,
+        {{"req", req.req_id},
+         {"op", req.op},
+         {"session", req.session},
+         {"ok", !failed},
+         {"bytes_in", static_cast<std::uint64_t>(req.bytes_in)},
+         {"bytes_out", static_cast<std::uint64_t>(req.reply.line.size())}});
+    // The span covers the execution, wherever and whenever it ran.
+    if (executed) ev.mono_seconds = req.exec_start;
+    ev.span_id = req.span;
+    ev.parent_span_id = req.parent_span;
+    obs::emit(ev);
+  }
+  return std::move(req.reply);
+}
 
-  if (timed) {
-    const double elapsed = obs::mono_now() - t0;
-    if (opt_.telemetry) {
-      if (failed) requests_failed_->add(1);
-      OpInstruments& ins = instruments(op);
-      if (failed) ins.errors->add(1);
-      ins.latency->observe(elapsed);
-    }
-    if (opt_.slow_request_seconds > 0.0 &&
-        elapsed > opt_.slow_request_seconds &&
-        obs::enabled(obs::Severity::Warn)) {
-      obs::emit(obs::make_instant(obs::Severity::Warn, "server.slow_request",
-                                  "service",
-                                  {{"req", req_id},
-                                   {"op", op},
-                                   {"session", session_id},
-                                   {"seconds", elapsed},
-                                   {"threshold",
-                                    opt_.slow_request_seconds}}));
-    }
-    if (tracing) {
-      obs::Event ev = obs::make_span(
-          obs::Severity::Info, "server.op." + op, "service", elapsed,
-          {{"req", req_id},
-           {"op", op},
-           {"session", session_id},
-           {"ok", !failed},
-           {"bytes_in", static_cast<std::uint64_t>(line.size())},
-           {"bytes_out", static_cast<std::uint64_t>(reply.line.size())}});
-      ev.span_id = span_id;
-      ev.parent_span_id = parent_span;
-      obs::emit(ev);
-    }
-  }
-  return reply;
+ProtocolReply ServiceProtocol::handle_line(const std::string& line) {
+  ProtocolRequest req = parse(line);
+  if (begin(req)) execute(req);
+  return finish(req);
 }
 
 }  // namespace portatune::service

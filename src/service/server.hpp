@@ -2,10 +2,30 @@
 //
 // `portatune_cli serve --socket <path>` runs this loop: a stream socket
 // accepting multiple concurrent clients, each speaking the line-delimited
-// JSON protocol (protocol.hpp). The loop is single-threaded poll()-based —
-// requests from all clients serialize through one ServiceProtocol, which
-// is plenty for a control plane (the expensive work, evaluation fan-out,
-// happens inside the service's thread pool during `step`).
+// JSON protocol (protocol.hpp).
+//
+// Threading. One poll() thread owns the sockets and the ServiceProtocol:
+// it accepts, frames lines, rate-limits, parses, answers rid replays,
+// counts ops, runs the cheap ops, and writes replies. Every op that fits,
+// ranks or writes to disk — open, resume, checkpoint, close, and any
+// session op whose session is not live (its lazy restore loads a
+// checkpoint, fits and ranks) — executes on ThreadPool::global()
+// instead; step/suggest/report on a live session, status, stats and
+// shutdown run inline, because a thread hop would double their ~0.1 ms
+// round trip. Finished pool ops come back through a mutex-guarded list
+// and a self-pipe in the poll set; the poll thread then finishes them
+// (rid store, instruments, spans) and queues their replies.
+//
+// Ordering. A framed line waits, not yet begun, in its connection's
+// queue while (a) its connection has an op running, (b) its session id
+// has an op running, or (c) its rid has an execution running. So at most
+// one op runs per session and per connection, each connection's replies
+// go out in request order, and a duplicate rid sent on a second
+// connection (a ResilientClient retry after its per-attempt timeout) is
+// answered from the replay cache once the original finishes instead of
+// executing twice. A connection with a line waiting is not read from, so
+// the kernel applies backpressure. A connection that dies while its op
+// runs still has the op finished and its rid cached for the retry.
 //
 // Shutdown has two distinct exits, mirroring the run orchestration:
 //   * a client sends {"op":"shutdown"}  -> checkpoint all sessions,
@@ -14,19 +34,26 @@
 //     -> checkpoint all sessions, remove the socket, exit code 3
 //     (interrupted but resumable — the same convention the run
 //     orchestrator uses, so wrappers treat both uniformly).
-// Either way every open session's checkpoint.csv is current on exit, and
-// a later `serve` on the same data dir can `resume` each one.
+// Either way the loop first stops beginning lines, waits for the ops
+// running on the pool and delivers their replies; only then does it
+// checkpoint. Every open session's checkpoint.csv is current on exit
+// (one whose open was running included), and a later `serve` on the
+// same data dir can `resume` each one.
 //
 // Wire observability (the transport half; the per-op half lives in the
 // protocol): the loop maintains
 //
 //   server.clients_accepted / .clients_disconnected    counters
-//   server.clients_connected / .requests_in_flight     gauges
+//   server.clients_connected / .requests_in_flight     gauges (ops
+//                                                      executing)
 //   server.bytes_in / .bytes_out                       counters
 //   server.lines_rejected                              counter (oversized)
 //   server.poll.wait_seconds                           histogram
 //
-// and every `status_every_seconds` refreshes the service gauges
+// plus, when a sink listens, one `server.request` span per begun line,
+// from its framing to its reply (the parent of the protocol's
+// `server.op.<op>` execution span). Every `status_every_seconds` the
+// loop refreshes the service gauges
 // (TuningService::publish_metrics), so the rows a metrics sampler
 // appends carry current session/store/cache state. The daemon's
 // heartbeat is that sampler's time-series (`portatune_cli serve` runs one
@@ -39,7 +66,8 @@
 // starve the other clients.
 //
 // Session leases: with `lease_seconds` > 0 the loop's tick sweeps for
-// sessions no client op has touched within the lease. Each one is
+// sessions no client op has touched within the lease, skipping those
+// with an op running on the pool. Each one is
 // checkpointed and evicted from the live map (counted under
 // `server.sessions_reclaimed`, Warn `server.session_reclaimed`) — NOT
 // closed: a returning client's next op transparently resumes it from

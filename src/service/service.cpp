@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "obs/event.hpp"
@@ -385,8 +386,12 @@ std::unique_ptr<SessionHandle> TuningService::build_session(
     h->warm_key_ = meta.at("warm_key").as_string();
     h->warm_source_ = meta.at("warm_source").as_string();
     if (!h->warm_key_.empty()) {
-      const StoreEntry* entry = store_.find(h->warm_key_);
-      PT_REQUIRE(entry != nullptr,
+      std::optional<StoreEntry> entry;
+      {
+        std::lock_guard lock(store_mutex_);
+        if (const StoreEntry* e = store_.find(h->warm_key_)) entry = *e;
+      }
+      PT_REQUIRE(entry.has_value(),
                  "session '" + id + "' warmed from store entry '" +
                      h->warm_key_ + "', which no longer exists");
       h->warm_model_ = store_.load_surrogate(*entry, h->cached_->space());
@@ -397,7 +402,12 @@ std::unique_ptr<SessionHandle> TuningService::build_session(
   } else {
     h->fingerprint_ =
         measure_fingerprint(*h->cached_, opt_.fingerprint_probes);
-    if (const auto match = store_.nearest(cfg.problem(), h->fingerprint_)) {
+    std::optional<StoreMatch> match;
+    {
+      std::lock_guard lock(store_mutex_);
+      match = store_.nearest(cfg.problem(), h->fingerprint_);
+    }
+    if (match) {
       try {
         h->warm_model_ =
             store_.load_surrogate(match->entry, h->cached_->space());
@@ -411,6 +421,7 @@ std::unique_ptr<SessionHandle> TuningService::build_session(
         h->warm_model_.reset();
         h->warm_key_.clear();
         h->warm_source_.clear();
+        std::lock_guard lock(store_mutex_);
         store_.quarantine(match->entry.key, e.what());
       }
     }
@@ -427,54 +438,74 @@ std::unique_ptr<SessionHandle> TuningService::build_session(
   return h;
 }
 
-SessionHandle& TuningService::open(const std::string& id,
-                                   const apps::TuningConfig& cfg) {
-  require_valid_id(id);
-  std::lock_guard lock(mutex_);
-  PT_REQUIRE(sessions_.find(id) == sessions_.end(),
-             "session '" + id + "' is already open");
-  const std::string meta_path =
-      session_dir(opt_.data_dir, id) + "/meta.json";
-  if (file_exists(meta_path)) {
-    const Value meta = Value::parse(read_file(meta_path));
-    const Value* closed = meta.find("closed");
-    PT_REQUIRE(closed != nullptr && closed->as_bool(),
-               "session '" + id +
-                   "' has a live checkpoint on disk; resume it instead "
-                   "of opening a new session with the same id");
-    // The old session's final checkpoint must not outlive its meta: were
-    // the fresh session to crash before its first checkpoint, resume()
-    // would replay the previous trace against the new config.
-    remove_file(session_dir(opt_.data_dir, id) + "/checkpoint.csv");
+SessionHandle& TuningService::build_reserved(
+    const std::string& id, const std::string& taken,
+    const std::function<std::unique_ptr<SessionHandle>()>& build) {
+  {
+    std::lock_guard lock(mutex_);
+    PT_REQUIRE(sessions_.find(id) == sessions_.end() &&
+                   building_.count(id) == 0,
+               taken);
+    building_.insert(id);
   }
-  auto h = build_session(id, cfg, /*resuming=*/false);
+  std::unique_ptr<SessionHandle> h;
+  try {
+    h = build();
+  } catch (...) {
+    std::lock_guard lock(mutex_);
+    building_.erase(id);
+    throw;
+  }
+  std::lock_guard lock(mutex_);
+  building_.erase(id);
   SessionHandle& ref = *h;
   sessions_.emplace(id, std::move(h));
   return ref;
 }
 
+SessionHandle& TuningService::open(const std::string& id,
+                                   const apps::TuningConfig& cfg) {
+  require_valid_id(id);
+  return build_reserved(id, "session '" + id + "' is already open", [&] {
+    const std::string meta_path =
+        session_dir(opt_.data_dir, id) + "/meta.json";
+    if (file_exists(meta_path)) {
+      const Value meta = Value::parse(read_file(meta_path));
+      const Value* closed = meta.find("closed");
+      PT_REQUIRE(closed != nullptr && closed->as_bool(),
+                 "session '" + id +
+                     "' has a live checkpoint on disk; resume it instead "
+                     "of opening a new session with the same id");
+      // The old session's final checkpoint must not outlive its meta:
+      // were the fresh session to crash before its first checkpoint,
+      // resume() would replay the previous trace against the new config.
+      remove_file(session_dir(opt_.data_dir, id) + "/checkpoint.csv");
+    }
+    return build_session(id, cfg, /*resuming=*/false);
+  });
+}
+
 SessionHandle& TuningService::resume(const std::string& id) {
   require_valid_id(id);
-  std::lock_guard lock(mutex_);
-  PT_REQUIRE(sessions_.find(id) == sessions_.end(),
-             "session '" + id + "' is already open in this service");
-  const std::string dir = session_dir(opt_.data_dir, id);
-  PT_REQUIRE(file_exists(dir + "/meta.json"),
-             "no checkpointed session '" + id + "' under " + opt_.data_dir);
-  const Value meta = Value::parse(read_file(dir + "/meta.json"));
-  PT_REQUIRE(!meta.at("closed").as_bool(),
-             "session '" + id + "' was closed; open a new session instead");
-  // The meta carries the complete builder state: the resumed evaluator
-  // stack (compiler, faults, resilience, parallelism, deadlines) and
-  // search options are exactly what the session was opened with, so the
-  // replayed trace — and the shared cache scope it feeds — stay
-  // bit-identical. Runtime-only members (cancel token, guard callbacks)
-  // reset to defaults.
-  const apps::TuningConfig cfg = config_from_json(meta.at("config"));
-  auto h = build_session(id, cfg, /*resuming=*/true);
-  SessionHandle& ref = *h;
-  sessions_.emplace(id, std::move(h));
-  return ref;
+  return build_reserved(
+      id, "session '" + id + "' is already open in this service", [&] {
+        const std::string dir = session_dir(opt_.data_dir, id);
+        PT_REQUIRE(file_exists(dir + "/meta.json"),
+                   "no checkpointed session '" + id + "' under " +
+                       opt_.data_dir);
+        const Value meta = Value::parse(read_file(dir + "/meta.json"));
+        PT_REQUIRE(!meta.at("closed").as_bool(),
+                   "session '" + id +
+                       "' was closed; open a new session instead");
+        // The meta carries the complete builder state: the resumed
+        // evaluator stack (compiler, faults, resilience, parallelism,
+        // deadlines) and search options are exactly what the session
+        // was opened with, so the replayed trace — and the shared cache
+        // scope it feeds — stay bit-identical. Runtime-only members
+        // (cancel token, guard callbacks) reset to defaults.
+        return build_session(id, config_from_json(meta.at("config")),
+                             /*resuming=*/true);
+      });
 }
 
 SessionHandle* TuningService::find(const std::string& id) {
@@ -502,13 +533,14 @@ SessionHandle* TuningService::try_restore(const std::string& id) {
 }
 
 std::vector<std::string> TuningService::reclaim_idle(
-    double max_idle_seconds) {
+    double max_idle_seconds, const std::set<std::string>& busy) {
   std::vector<std::string> reclaimed;
   std::vector<SessionHandle*> handles;
   {
     std::lock_guard lock(mutex_);
     handles.reserve(sessions_.size());
-    for (auto& [_, h] : sessions_) handles.push_back(h.get());
+    for (auto& [id, h] : sessions_)
+      if (busy.count(id) == 0) handles.push_back(h.get());
   }
   for (SessionHandle* h : handles) {
     if (h->idle_seconds() < max_idle_seconds) continue;
@@ -545,8 +577,8 @@ std::vector<std::string> TuningService::reclaim_idle(
 
 std::vector<SessionInfo> TuningService::sessions() const {
   // Copy the handle pointers under the registry lock, then query each
-  // without it (info() takes the per-handle lock; holding both here
-  // would invert the close() -> publish_trace() lock order).
+  // without it (info() takes the per-handle lock, which a pooled close
+  // holds through its fsync'd writes; every find() would wait too).
   std::vector<const SessionHandle*> handles;
   {
     std::lock_guard lock(mutex_);
@@ -585,34 +617,34 @@ void TuningService::checkpoint_all() {
   }
 }
 
-const StoreEntry& TuningService::publish_trace(
-    const std::string& problem, const std::string& machine,
-    const tuner::SearchTrace& trace, const tuner::ParamSpace& space,
-    std::vector<double> fingerprint) {
-  std::lock_guard lock(mutex_);
-  return store_.put(problem, machine, trace, space, std::move(fingerprint));
+void TuningService::publish_trace(const std::string& problem,
+                                  const std::string& machine,
+                                  const tuner::SearchTrace& trace,
+                                  const tuner::ParamSpace& space,
+                                  std::vector<double> fingerprint) {
+  std::lock_guard lock(store_mutex_);
+  store_.put(problem, machine, trace, space, std::move(fingerprint));
+}
+
+TuningService::StoreCounts TuningService::store_counts() const {
+  std::lock_guard lock(store_mutex_);
+  return {store_.size(), store_.quarantined()};
 }
 
 void TuningService::publish_metrics() {
   cache_.publish_metrics();
-  std::vector<const SessionHandle*> handles;
-  std::size_t store_entries = 0;
-  std::size_t quarantined = 0;
+  std::size_t open = 0;
   {
     std::lock_guard lock(mutex_);
-    handles.reserve(sessions_.size());
-    for (const auto& [_, h] : sessions_) handles.push_back(h.get());
-    store_entries = store_.size();
-    quarantined = store_.quarantined();
+    for (const auto& [_, h] : sessions_)
+      if (!h->closed()) ++open;
   }
-  std::size_t open = 0;
-  for (const SessionHandle* h : handles)
-    if (!h->info().closed) ++open;
+  const StoreCounts store = store_counts();
   auto& reg = obs::MetricsRegistry::current();
   reg.gauge("service.sessions_active").set(static_cast<double>(open));
-  reg.gauge("service.store.entries").set(static_cast<double>(store_entries));
+  reg.gauge("service.store.entries").set(static_cast<double>(store.entries));
   reg.gauge("service.store.quarantined")
-      .set(static_cast<double>(quarantined));
+      .set(static_cast<double>(store.quarantined));
 }
 
 }  // namespace portatune::service

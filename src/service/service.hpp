@@ -21,15 +21,29 @@
 // reconstructs the session exactly — same seed, same store surrogate,
 // same replayed draw position.
 //
-// Threading: open/resume/list serialize on the service registry lock;
-// step/suggest/report/checkpoint/close serialize per session, so two
-// sessions advance concurrently (sharing the cache, which locks itself).
+// Threading: three kinds of lock, never held across each other except
+// handle -> store (close publishes its trace):
+//   * the registry lock guards the session map. open/resume take it
+//     twice, briefly: to reserve the id and to insert the built session.
+//     The fingerprint, fit and rank run between the two without it, so
+//     find() never waits behind a build;
+//   * the store lock guards the SurrogateStore's index (nearest, find,
+//     put, quarantine, sizes), so a close's fsync'd put never holds the
+//     registry lock;
+//   * each handle's lock serializes step/suggest/report/checkpoint/close
+//     on one session, so two sessions advance concurrently (sharing the
+//     cache, which locks itself).
+// The socket server (server.hpp) runs at most one op per session at a
+// time and passes the ids with an op running to reclaim_idle().
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
+#include <atomic>
+#include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -76,6 +90,8 @@ class SessionHandle {
 
   const std::string& id() const noexcept { return id_; }
   const std::string& dir() const noexcept { return dir_; }
+  /// Without the handle lock: the gauges read it while ops run.
+  bool closed() const noexcept { return closed_; }
   bool warm() const noexcept { return warm_model_ != nullptr; }
   const std::string& warm_source() const noexcept { return warm_source_; }
 
@@ -118,7 +134,7 @@ class SessionHandle {
   std::optional<tuner::SearchCheckpoint> resume_snapshot_;
   std::unique_ptr<tuner::TuningSession> session_;
   TuningService* service_ = nullptr;  ///< owner; outlives the handle
-  bool closed_ = false;
+  std::atomic<bool> closed_{false};
   double last_touched_ = 0.0;  ///< obs::mono_now() of the last client op
   mutable std::mutex mutex_;
 };
@@ -160,8 +176,10 @@ class TuningService {
   /// a later op on it transparently resumes from the lease checkpoint.
   /// A session whose checkpoint write fails stays live (counted under
   /// `service.checkpoint_failures`) — reclaiming it would lose state.
-  /// Returns the reclaimed session ids.
-  std::vector<std::string> reclaim_idle(double max_idle_seconds);
+  /// Sessions in `busy` (an op is running on them elsewhere) are skipped
+  /// untouched. Returns the reclaimed session ids.
+  std::vector<std::string> reclaim_idle(
+      double max_idle_seconds, const std::set<std::string>& busy = {});
 
   std::vector<SessionInfo> sessions() const;
   /// Checkpoint every open session (the server's SIGTERM path). Failures
@@ -169,16 +187,23 @@ class TuningService {
   void checkpoint_all();
 
   EvalCache& cache() noexcept { return cache_; }
+  /// The store itself, unlocked: only while no op runs (start-up, tests).
   SurrogateStore& store() noexcept { return store_; }
   const TuningServiceOptions& options() const noexcept { return opt_; }
 
-  /// Thread-safe store publication (the store itself is not thread-safe;
-  /// this serializes on the service lock). Closing sessions use it.
-  const StoreEntry& publish_trace(const std::string& problem,
-                                  const std::string& machine,
-                                  const tuner::SearchTrace& trace,
-                                  const tuner::ParamSpace& space,
-                                  std::vector<double> fingerprint);
+  /// The store's entry and quarantine counts, read under its lock.
+  struct StoreCounts {
+    std::size_t entries = 0;
+    std::size_t quarantined = 0;
+  };
+  StoreCounts store_counts() const;
+
+  /// Thread-safe store publication under the store lock. Closing
+  /// sessions use it.
+  void publish_trace(const std::string& problem, const std::string& machine,
+                     const tuner::SearchTrace& trace,
+                     const tuner::ParamSpace& space,
+                     std::vector<double> fingerprint);
 
   /// Refresh the service-level gauges (active sessions, store entries,
   /// cache counters) in the process metrics registry.
@@ -187,12 +212,20 @@ class TuningService {
  private:
   std::unique_ptr<SessionHandle> build_session(
       const std::string& id, const apps::TuningConfig& cfg, bool resuming);
+  /// Reserve `id` (throwing `taken` when it is live or being built), run
+  /// `build` without the registry lock, insert what it returns. A
+  /// reserved id is invisible to find() and to the sweeps.
+  SessionHandle& build_reserved(
+      const std::string& id, const std::string& taken,
+      const std::function<std::unique_ptr<SessionHandle>()>& build);
 
   TuningServiceOptions opt_;
   EvalCache cache_;
   SurrogateStore store_;
-  mutable std::mutex mutex_;  ///< guards sessions_
+  mutable std::mutex store_mutex_;  ///< guards store_'s index
+  mutable std::mutex mutex_;        ///< guards sessions_ and building_
   std::map<std::string, std::unique_ptr<SessionHandle>> sessions_;
+  std::set<std::string> building_;  ///< ids reserved by open/resume
 };
 
 }  // namespace portatune::service

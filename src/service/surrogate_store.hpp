@@ -76,7 +76,11 @@ struct StoreMatch {
   tuner::TransferAdvice advice = tuner::TransferAdvice::Transfer;
 };
 
-/// Not thread-safe: the owning TuningService serializes access.
+/// Not thread-safe: the owning TuningService serializes every call that
+/// reads or writes the in-memory index under its store lock. load_trace()
+/// and load_surrogate() read only the store directory and an entry's
+/// atomically replaced trace file, so on a copied entry they run without
+/// it (a warm open fits outside every lock).
 class SurrogateStore {
  public:
   /// Opens (and if necessary creates) the store directory; loads the

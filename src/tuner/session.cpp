@@ -139,6 +139,10 @@ SearchCheckpoint TuningSession::checkpoint() const {
 void TuningSession::close() {
   if (closed_) return;
   closed_ = true;
+  // A closed session never draws again; checkpoint() needs only the loop
+  // and the trace. A daemon keeps closed sessions until its lease sweep,
+  // so the ranked pool goes now.
+  source_.reset();
   obs::MetricsRegistry::current().counter("service.sessions_closed").add(1);
   if (!obs::enabled(obs::Severity::Info)) return;
   std::vector<obs::Field> fields{

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "support/error.hpp"
 #include "tuner/random_search.hpp"
 
@@ -53,6 +56,23 @@ TEST(TuningConfigTest, ValidationNamesTheOffendingField) {
   expect_rejects(TuningConfig{}.delta_percent(100.0), "delta_percent");
   expect_rejects(TuningConfig{}.kernel_threads(0), "kernel_threads");
   expect_rejects(TuningConfig{}.failure_budget({0, 0}), "failure budget");
+  // The retry policy's time fields: finite, >= 0 and at most a day.
+  const auto retry_with = [](double tuner::RetryPolicy::*field, double v) {
+    tuner::RetryPolicy policy;
+    policy.*field = v;
+    return TuningConfig{}.retry(policy);
+  };
+  for (const auto& [field, name] :
+       {std::pair{&tuner::RetryPolicy::timeout_seconds, "timeout_seconds"},
+        std::pair{&tuner::RetryPolicy::backoff_initial, "backoff_initial"},
+        std::pair{&tuner::RetryPolicy::backoff_max, "backoff_max"}}) {
+    for (const double bad : {-1.0, 1e300, TuningConfig::kMaxRetrySeconds * 2,
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()})
+      expect_rejects(retry_with(field, bad), name);
+    EXPECT_NO_THROW(
+        retry_with(field, TuningConfig::kMaxRetrySeconds).validate());
+  }
 
   // Guard invariants only bind when the guard is on.
   tuner::GuardOptions inverted;

@@ -53,6 +53,12 @@ PY
 expect_error "collect --nmax abc" "$CLI" collect --nmax abc
 grep -q -- '--nmax' err.txt || { echo "FAIL: --nmax not named"; exit 1; }
 
+# A deadline beyond a day would overflow the attempt's steady_clock
+# deadline; validation names the field instead.
+expect_error "collect --timeout 1e300" "$CLI" collect --problem LU \
+  --machine Westmere --nmax 5 --timeout 1e300
+grep -q 'timeout_seconds' err.txt || { echo "FAIL: timeout not named"; exit 1; }
+
 "$CLI" collect --problem LU --machine Westmere --nmax 20 --quiet \
   --checkpoint ck.csv --out ta.csv >/dev/null
 forge ta.csv draw_index

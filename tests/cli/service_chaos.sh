@@ -8,8 +8,11 @@
 # experiment runner). A restarted daemon on the same --data-dir must
 # resume both sessions at their checkpointed positions and run them to
 # completion within the original budget; the store must end up holding
-# both machines' published traces. Finally, `status` on a directory that
-# is not a run directory must fail with exit code 2 and a clear message.
+# both machines' published traces. A third daemon is SIGTERM'd while a
+# warm open runs on a pool thread: it must deliver the open's reply, exit
+# 3, and a fourth daemon must restore that session. Finally, `status` on
+# a directory that is not a run directory must fail with exit code 2 and
+# a clear message.
 #
 # Usage: service_chaos.sh <portatune_cli> <work-dir>
 set -euo pipefail
@@ -114,6 +117,51 @@ EOF
 test -s "$DATA/store/index.csv"
 
 # Graceful protocol-level shutdown: exit 0 this time.
+call '{"op":"shutdown"}' | grep -q '"ok":true'
+rc=0
+wait "$daemon" || rc=$?
+test "$rc" -eq 0
+
+# --- SIGTERM while an open runs on a pool thread -----------------------
+# The daemon finishes the open and delivers its reply before it
+# checkpoints and exits 3, so the session resumes after a restart.
+"$CLI" serve --socket "$SOCK" --data-dir "$DATA" >serve3.log 2>&1 &
+daemon=$!
+wait_for_socket
+opens() {
+  call '{"op":"stats"}' | python3 -c \
+    'import json,sys; print(int(json.load(sys.stdin)["metrics"]["counters"].get("server.op.open.count", 0)))'
+}
+opens_before=$(opens)
+# Warm from the stored LU traces, ranking a 100 000-config pool.
+call '{"op":"open","id":"gamma","problem":"LU","machine":"Power7","max_evals":40,"seed":9,"pool_size":100000}' \
+  >open-gamma.json &
+caller=$!
+for _ in $(seq 1 500); do
+  [ "$(opens)" -gt "$opens_before" ] && break  # the open has begun
+  sleep 0.01
+done
+kill -TERM "$daemon"
+rc=0
+wait "$daemon" || rc=$?
+test "$rc" -eq 3
+wait "$caller"
+grep -q '"ok":true' open-gamma.json
+grep -q '"warm":true' open-gamma.json
+test -s "$DATA/sessions/gamma/meta.json"
+
+"$CLI" serve --socket "$SOCK" --data-dir "$DATA" >serve4.log 2>&1 &
+daemon=$!
+wait_for_socket
+# The first op restores gamma from its checkpoint, warm as it opened.
+call '{"op":"step","id":"gamma","n":5}' | tee step-gamma.json
+python3 - <<'EOF2'
+import json
+r = json.load(open("step-gamma.json"))
+assert r["ok"] and r["evals"] == 5, r
+EOF2
+call '{"op":"status"}' | python3 -c \
+  'import json,sys; s=json.load(sys.stdin); assert [x["warm"] for x in s["sessions"] if x["id"]=="gamma"]==[True], s'
 call '{"op":"shutdown"}' | grep -q '"ok":true'
 rc=0
 wait "$daemon" || rc=$?

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -20,6 +21,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "service/resilient_client.hpp"
 #include "support/cancellation.hpp"
 
@@ -91,6 +93,72 @@ class ServerTest : public testing::Test {
                         sizeof(addr)),
               0);
     return fd;
+  }
+
+  /// Send all of `bytes` on a raw fd.
+  static void send_all(int fd, const std::string& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n =
+          ::send(fd, bytes.data() + sent, bytes.size() - sent, 0);
+      ASSERT_GT(n, 0);
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// Block (up to ~10s) for one reply line on a raw fd; `buf` keeps the
+  /// bytes past it.
+  static std::string read_line(int fd, std::string& buf) {
+    for (int i = 0; i < 1000; ++i) {
+      const std::size_t nl = buf.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = buf.substr(0, nl);
+        buf.erase(0, nl + 1);
+        return line;
+      }
+      pollfd p{fd, POLLIN, 0};
+      if (::poll(&p, 1, 10) <= 0) continue;
+      char chunk[4096];
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      buf.append(chunk, static_cast<std::size_t>(n));
+    }
+    ADD_FAILURE() << "no reply line";
+    return "";
+  }
+
+  /// Whether a raw fd has reply bytes waiting, without blocking.
+  static bool has_reply(int fd) {
+    pollfd p{fd, POLLIN, 0};
+    return ::poll(&p, 1, 0) > 0;
+  }
+
+  /// Publish an LU Westmere trace, so LU opens on Sandybridge start warm
+  /// and rank their `pool_size` pool.
+  void seed_store(ServiceClient& client) {
+    ASSERT_TRUE(Value::parse(client.call(
+                                 R"({"op":"open","id":"src","problem":"LU",)"
+                                 R"("machine":"Westmere","max_evals":40,)"
+                                 R"("seed":3})"))
+                    .at("ok")
+                    .as_bool());
+    ASSERT_TRUE(
+        Value::parse(client.call(R"({"op":"step","id":"src","n":40})"))
+            .at("ok")
+            .as_bool());
+    ASSERT_TRUE(Value::parse(client.call(R"({"op":"close","id":"src"})"))
+                    .at("ok")
+                    .as_bool());
+  }
+
+  /// A warm open ranking a 100 000-config pool: ~0.1 s of fit and rank.
+  static std::string slow_open(const std::string& id,
+                               const std::string& rid = "") {
+    std::string line = R"({"op":"open","id":")" + id +
+                       R"(","problem":"LU","machine":"Sandybridge",)"
+                       R"("max_evals":40,"seed":5,"pool_size":100000)";
+    if (!rid.empty()) line += R"(,"rid":")" + rid + "\"";
+    return line + "}\n";
   }
 
   obs::MetricsRegistry registry_;
@@ -314,6 +382,129 @@ TEST_F(ServerTest, OverBudgetRequestsGetTypedRetryAfter) {
                     .at("ok")
                     .as_bool());
   EXPECT_GE(resilient.stats().throttled, 1u);
+}
+
+TEST_F(ServerTest, SlowOpenDoesNotHoldAnotherConnectionsStep) {
+  start();
+  ServiceClient b(socket_path_);
+  seed_store(b);
+  ASSERT_TRUE(Value::parse(b.call(R"({"op":"open","id":"b","problem":"LU",)"
+                                  R"("machine":"Westmere","seed":4})"))
+                  .at("ok")
+                  .as_bool());
+  const int a = raw_connect();
+  send_all(a, slow_open("a"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // A's open fits and ranks on a pool thread; B's step runs at once on
+  // the poll thread instead of queueing behind it.
+  ASSERT_TRUE(Value::parse(b.call(R"({"op":"step","id":"b","n":2})"))
+                  .at("ok")
+                  .as_bool());
+  EXPECT_FALSE(has_reply(a)) << "the step waited for the open";
+  std::string buf;
+  const Value opened = Value::parse(read_line(a, buf));
+  EXPECT_TRUE(opened.at("ok").as_bool());
+  EXPECT_TRUE(opened.at("warm").as_bool());
+  ::close(a);
+}
+
+TEST_F(ServerTest, DuplicateRidOfARunningOpenExecutesOnce) {
+  start();
+  ServiceClient client(socket_path_);
+  seed_store(client);
+  const std::uint64_t opens = counter("server.op.open.count");
+  const std::uint64_t replays = counter("server.rid.replays");
+  // The second connection retries the rid while the first's open runs:
+  // the retry waits for it, then replays its reply.
+  const int first = raw_connect();
+  const int retry = raw_connect();
+  send_all(first, slow_open("dup", "t:1"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  send_all(retry, slow_open("dup", "t:1"));
+  std::string buf_first, buf_retry;
+  const std::string reply = read_line(first, buf_first);
+  EXPECT_TRUE(Value::parse(reply).at("ok").as_bool());
+  EXPECT_EQ(read_line(retry, buf_retry), reply);
+  EXPECT_EQ(counter("server.op.open.count"), opens + 1);
+  EXPECT_EQ(counter("server.rid.replays"), replays + 1);
+  ::close(first);
+  ::close(retry);
+}
+
+TEST_F(ServerTest, PipelinedOpenStepCloseAreAnsweredInOrder) {
+  start();
+  const int fd = raw_connect();
+  send_all(fd,
+           R"({"op":"open","id":"p1","problem":"LU","machine":"Westmere",)"
+           R"("max_evals":20,"seed":3})"
+           "\n"
+           R"({"op":"step","id":"p1","n":3})"
+           "\n"
+           R"({"op":"close","id":"p1"})"
+           "\n");
+  std::string buf;
+  const Value opened = Value::parse(read_line(fd, buf));
+  const Value stepped = Value::parse(read_line(fd, buf));
+  const Value closed = Value::parse(read_line(fd, buf));
+  EXPECT_EQ(opened.at("id").as_string(), "p1");
+  ASSERT_TRUE(stepped.at("ok").as_bool());
+  EXPECT_EQ(stepped.at("evals").as_number(), 3.0);
+  ASSERT_TRUE(closed.at("ok").as_bool());
+  EXPECT_EQ(closed.at("evals").as_number(), 3.0);
+  ::close(fd);
+}
+
+TEST_F(ServerTest, HeldOpRecordsItsQueueWait) {
+  // The spans give the server's own timeline: when it framed the step,
+  // and when the open it waited for ran.
+  obs::MemorySink sink;
+  obs::ScopedSinkRedirect sink_redirect(&sink, obs::Severity::Info);
+  start();
+  ServiceClient client(socket_path_);
+  seed_store(client);
+  const int a = raw_connect();
+  const int b = raw_connect();
+  send_all(a, slow_open("q"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Same session, other connection: the step waits for the open.
+  send_all(b, "{\"op\":\"step\",\"id\":\"q\",\"n\":2}\n");
+  std::string buf_a, buf_b;
+  ASSERT_TRUE(Value::parse(read_line(a, buf_a)).at("ok").as_bool());
+  ASSERT_TRUE(Value::parse(read_line(b, buf_b)).at("ok").as_bool());
+  ::close(a);
+  ::close(b);
+  cancel_.request_cancel();  // no event may reach the sink after the test
+  thread_.join();
+
+  const auto events = sink.events();
+  const auto span_of = [&](const std::string& name) -> const obs::Event* {
+    for (const obs::Event& e : events)
+      if (e.name == name && e.duration_seconds >= 0.0)
+        for (const obs::Field& f : e.fields)
+          if (f.key == "session" && f.value == "q") return &e;
+    return nullptr;
+  };
+  const obs::Event* open = span_of("server.op.open");
+  const obs::Event* step = span_of("server.op.step");
+  ASSERT_NE(open, nullptr);
+  ASSERT_NE(step, nullptr);
+  const obs::Event* step_request = nullptr;  // framed -> reply
+  for (const obs::Event& e : events)
+    if (e.span_id == step->parent_span_id) step_request = &e;
+  ASSERT_NE(step_request, nullptr);
+  EXPECT_EQ(step_request->name, "server.request");
+  // What was left of the open when the step was framed.
+  const double remaining = open->mono_seconds + open->duration_seconds -
+                           step_request->mono_seconds;
+  EXPECT_GT(remaining, 0.0) << "the step arrived after the open finished";
+  const obs::Histogram& queue =
+      registry_.histogram("server.request.queue_seconds");
+  EXPECT_GE(queue.max(), remaining);
+  // One sample per executed op.
+  std::uint64_t executed = 0;
+  for (const char* op : {"open", "step", "close"})
+    executed += counter(std::string("server.op.") + op + ".count");
+  EXPECT_EQ(queue.count(), executed);
 }
 
 TEST_F(ServerTest, ExactlyOnceSurvivesServerRestart) {

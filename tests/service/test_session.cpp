@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+
 #include <filesystem>
 #include <thread>
 
@@ -17,8 +21,18 @@
 namespace portatune::service {
 namespace {
 
+std::string pid_suffix() {
+#if defined(__unix__) || defined(__APPLE__)
+  return std::to_string(::getpid());
+#else
+  return "0";
+#endif
+}
+
 std::string fresh_data_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "portatune_svc_" + name;
+  // Per-process: two builds' test binaries may run at once.
+  const std::string dir =
+      testing::TempDir() + "portatune_svc_" + name + "_" + pid_suffix();
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -283,6 +297,51 @@ TEST(TuningServiceTest, CheckpointAllToleratesClosedSessions) {
   const tuner::SearchCheckpoint cp = tuner::load_checkpoint_csv(
       a.dir() + "/checkpoint.csv", a.space());
   EXPECT_EQ(cp.trace.size(), a.trace_snapshot().size());
+}
+
+TEST(TuningServiceTest, ClosedSessionStillCheckpointsAndRefusesDraws) {
+  TuningService service(service_opt("closed_draws"));
+  SessionHandle& src = service.open("src", lu_config("Westmere", 42, 20));
+  run_to_exhaustion(src);
+  src.close();
+
+  // A warm session ranks a pool; close() drops it with the draw source.
+  const apps::TuningConfig cfg = lu_config("Sandybridge", 7, 20);
+  SessionHandle& s = service.open("warm", cfg);
+  ASSERT_TRUE(s.warm());
+  s.step(5);
+  const tuner::SearchTrace trace = s.close();
+  EXPECT_THROW(s.step(1), Error);
+  EXPECT_THROW(s.suggest(1), Error);
+  EXPECT_NO_THROW(service.checkpoint_all());  // the teardown sweep
+  const tuner::SearchCheckpoint cp =
+      tuner::load_checkpoint_csv(s.dir() + "/checkpoint.csv", s.space());
+  EXPECT_EQ(cp.trace.size(), trace.size());
+
+  // The bare session snapshots after close too.
+  auto stack = cfg.make_stack();
+  const ml::RegressorPtr model = service.store().load_surrogate(
+      service.store().entries().front(), stack->space());
+  tuner::TuningSession bare(*stack, cfg.search_options(), model.get(),
+                            "bare");
+  bare.step(5);
+  bare.close();
+  EXPECT_THROW(bare.step(1), Error);
+  EXPECT_THROW(bare.suggest(1), Error);
+  const tuner::SearchCheckpoint snapshot = bare.checkpoint();
+  EXPECT_EQ(snapshot.trace.size(), bare.trace().size());
+  EXPECT_GE(snapshot.draws, bare.trace().size());
+}
+
+TEST(TuningServiceTest, ReclaimIdleSkipsBusySessions) {
+  TuningService service(service_opt("reclaim_busy"));
+  service.open("a", lu_config("Westmere")).step(3);
+  // An op running elsewhere on "a" (the server passes those ids): the
+  // sweep must not checkpoint and evict the handle under it.
+  EXPECT_TRUE(service.reclaim_idle(0.0, {"a"}).empty());
+  EXPECT_NE(service.find("a"), nullptr);
+  EXPECT_EQ(service.reclaim_idle(0.0), std::vector<std::string>{"a"});
+  EXPECT_EQ(service.find("a"), nullptr);
 }
 
 TEST(TuningServiceTest, SessionsShareTheEvalCache) {
